@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +25,12 @@ from .errors import ContractError
 from .metrics import corpus_bleu
 from .model import ModelConfig
 from .quantizer import QuantizerConfig
-from .reports import atomic_write_text, fmt
+from .reports import DictCodec, atomic_write_text, fmt
 from .training import (
     ModelBundle,
     TrainSchedule,
-    exact_match_rate,
     load_bundle,
     save_bundle,
-    sentences_to_ids,
     token_accuracy,
     train_model,
 )
@@ -45,7 +42,7 @@ ENV_PREFIX = "VQL_"
 
 
 @dataclass
-class RunConfig:
+class RunConfig(DictCodec):
     """One experiment: seed, model/quantizer/schedule sections, corpus, outputs."""
 
     seed: int = 0
@@ -55,17 +52,8 @@ class RunConfig:
     quantizer: dict = field(default_factory=dict)
     schedule: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "corpus": self.corpus, "out_dir": self.out_dir,
-                "model": dict(self.model), "quantizer": dict(self.quantizer),
-                "schedule": dict(self.schedule)}
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -83,7 +71,11 @@ class RunConfig:
 def load_run_config(path: str, overrides: dict) -> RunConfig:
     """File -> environment (VQL_*) -> flag overrides, in increasing precedence."""
     with open(path, encoding="utf-8") as fh:
-        config = RunConfig.from_dict(json.load(fh))
+        try:
+            blob = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ContractError(f"run config {path!r} is not UTF-8 JSON: {exc}") from exc
+    config = RunConfig.from_dict(blob)
     for key, cast in (("seed", int), ("epochs", int), ("lr", float), ("out_dir", str),
                       ("corpus", str)):
         env = os.environ.get(ENV_PREFIX + key.upper())
@@ -133,8 +125,6 @@ def cmd_gen_corpus(args) -> int:
 def cmd_train(args) -> int:
     config = load_run_config(args.config, {"seed": args.seed, "epochs": args.epochs,
                                            "out_dir": args.out})
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     tokens = _load_tokens(config.corpus)
     vocab = cg.build_vocab(tokens)
     model_section = dict(config.model)
@@ -147,6 +137,8 @@ def cmd_train(args) -> int:
 
     log: list[dict] = []
     bundle = train_model(tokens, vocab, model_config, qconfig, schedule, log)
+    out_dir = config.out_dir
+    os.makedirs(out_dir, exist_ok=True)
     save_bundle(os.path.join(out_dir, "checkpoint.ckpt"), bundle)
     lines = ["epoch,ce,commit,token_acc"]
     lines += [f"{row['epoch']},{fmt(row['ce'])},{fmt(row['commit'])},{fmt(row['token_acc'])}"
@@ -205,25 +197,17 @@ def cmd_interpolate(args) -> int:
     pairs = _interpolation_pairs(args, len(tokens))
     pad = bundle.end_token_latent()
 
-    def run_pair(pair):
-        i, j = pair
+    paths, scores = [], []
+    for i, j in pairs:
         _, src = bundle.quantize_words(tokens[i])
         _, tgt = bundle.quantize_words(tokens[j])
         path = geo.interpolate(src, tgt, bundle.codebook, bundle.decode_words,
                                pad_latent=pad)
-        score = geo.interpolation_smoothness(path, bundle.wmd_embeddings)
-        return path, score
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_pair, pairs))
-    else:
-        results = [run_pair(p) for p in pairs]
+        paths.append(path)
+        scores.append(geo.interpolation_smoothness(path, bundle.wmd_embeddings))
 
     os.makedirs(args.out, exist_ok=True)
-    scores = []
-    for (i, j), (path, score) in zip(pairs, results):
-        scores.append(score)
+    for (i, j), path in zip(pairs, paths):
         atomic_write_text(os.path.join(args.out, f"path_{i}_{j}.txt"), geo.dump_path(path))
     report = (f"pairs\t{len(scores)}\n"
               f"avg IS\t{fmt(float(np.mean(scores)))}\n"
@@ -284,14 +268,6 @@ def _region_filter(kind: str, value: str):
     return lambda s: value in s.tokens
 
 
-def _region_extractor(kind: str, bundle: ModelBundle):
-    if kind == "topic":
-        return cg.infer_topic
-    if kind == "pred":
-        return cg.extract_relation
-    return None  # arg: handled via containment
-
-
 def cmd_tree(args) -> int:
     bundle = load_bundle(args.checkpoint)
     sentences = cg.load_corpus(args.corpus)
@@ -324,10 +300,8 @@ def cmd_tree(args) -> int:
 
     if kind == "arg":
         extractor = lambda toks: label_b if label_b in toks else (label_a if label_a in toks else None)
-        target = label_b
     else:
-        extractor = _region_extractor(kind, bundle)
-        target = label_b
+        extractor = cg.infer_topic if kind == "topic" else cg.extract_relation
 
     finals = []
     move_lines = []
@@ -338,7 +312,7 @@ def cmd_tree(args) -> int:
         if n < args.moves:
             move_lines.append(f"move {n}: {sentence.text()}")
             move_lines += [f"  -> {' '.join(step)}" for step in outputs]
-    consistency = tc.cross_region_consistency(finals, extractor, target)
+    consistency = tc.cross_region_consistency(finals, extractor, label_b)
 
     os.makedirs(args.out, exist_ok=True)
     tc.save_tree(os.path.join(args.out, "tree.json"), tree)
@@ -442,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--random", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_interpolate)
 
@@ -478,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="latent-space substitution inference")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--op", choices=geo.SUBSTITUTION_OPS, default="arg_sub")
+    p.add_argument("--op", choices=cg.INFERENCE_OPS, default="arg_sub")
     p.add_argument("--premises", default=None)
     p.add_argument("--generate", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, NoAnchorError
+from .reports import atomic_write_text
 
 ROLES = ("ARG0", "ARG1", "ARG2", "PRED", "MOD", "NEG", "O")
 
@@ -312,42 +313,51 @@ def generate_inference_instances(seed: int, count: int,
     return out
 
 
-def derive_conclusion(p1: AnnotatedSentence, p2: AnnotatedSentence, op: str) -> list[str] | None:
-    """Symbolic token-level application of an inference operation.
+INFERENCE_OPS = ("arg_sub", "verb_sub", "further_spec", "conjunction")
 
-    Mirrors the latent-space substitution rules on plain tokens so arbitrary
-    premise pairs can be scored; returns None when no anchor exists.
+
+def inference_plan(p1, p2, op: str) -> list[tuple[int, int, int] | None]:
+    """The premise slices, in order, that one inference operation joins.
+
+    Each piece is ``(premise, start, end)`` with premise 0 for P1 and 1 for
+    P2, or None for the connective "and".  Only ``tokens`` and ``roles`` of
+    each premise are read, so the same plan assembles a token-level
+    conclusion and a latent-row hybrid.
+
+    * ``arg_sub``/``verb_sub``: P2's first argument (resp. predicate) span
+      whose words also fill a P1 argument span is replaced by the first P1
+      argument span absent from P2; identical premises substitute the span
+      with itself.
+    * ``further_spec``: P2 followed by P1's first MOD span (with its "to").
+    * ``conjunction``: the premises' differing middles, P2's first, joined by
+      the connective inside their shared prefix and suffix.
+
+    Raises :class:`NoAnchorError` when the premises offer no anchor.
     """
-    args = {"ARG0", "ARG1", "ARG2"}
-
-    def spans(sent, wanted):
-        return [(a, b, tuple(sent.tokens[a:b])) for a, b in role_spans(sent.roles, wanted)]
-
     if op in ("arg_sub", "verb_sub"):
+        args = {"ARG0", "ARG1", "ARG2"}
+
+        def spans(sent, wanted):
+            return [(a, b, tuple(sent.tokens[a:b])) for a, b in role_spans(sent.roles, wanted)]
+
         p1_args = spans(p1, args)
-        candidates = spans(p2, args if op == "arg_sub" else {"PRED"})
         p2_all = {w for _, _, w in spans(p2, args | {"PRED"})}
-        shared = shared_p1 = None
-        for a, b, words in candidates:
-            for s, e, w1 in p1_args:
-                if words == w1:
-                    shared, shared_p1 = (a, b), (s, e)
-                    break
-            if shared:
-                break
-        if shared is None:
-            return None
-        counterpart = next(((s, e) for s, e, w in p1_args if w not in p2_all), shared_p1)
-        return (p2.tokens[:shared[0]] + p1.tokens[counterpart[0]:counterpart[1]]
-                + p2.tokens[shared[1]:])
+        candidates = spans(p2, args if op == "arg_sub" else {"PRED"})
+        anchor = next(((a, b, (s, e)) for a, b, words in candidates
+                       for s, e, w1 in p1_args if words == w1), None)
+        if anchor is None:
+            raise NoAnchorError("no shared span between premises")
+        a, b, shared_p1 = anchor
+        s, e = next(((s, e) for s, e, w in p1_args if w not in p2_all), shared_p1)
+        return [(1, 0, a), (0, s, e), (1, b, len(p2.tokens))]
     if op == "further_spec":
         mods = role_spans(p1.roles, {"MOD"})
         if not mods:
-            return None
+            raise NoAnchorError("first premise has no MOD span to append")
         start, end = mods[0]
         if start > 0 and p1.tokens[start - 1] == "to":
             start -= 1
-        return p2.tokens + p1.tokens[start:end]
+        return [(1, 0, len(p2.tokens)), (0, start, end)]
     if op == "conjunction":
         len1, len2 = len(p1.tokens), len(p2.tokens)
         pre = 0
@@ -357,11 +367,21 @@ def derive_conclusion(p1: AnnotatedSentence, p2: AnnotatedSentence, op: str) -> 
         while (suf < min(len1, len2) - pre
                and p1.tokens[len1 - 1 - suf] == p2.tokens[len2 - 1 - suf]):
             suf += 1
-        mid1, mid2 = p1.tokens[pre:len1 - suf], p2.tokens[pre:len2 - suf]
-        if not mid1 and not mid2:
-            return None
-        return p2.tokens[:pre] + mid2 + ["and"] + mid1 + p2.tokens[len2 - suf:]
-    raise ContractError(f"unknown operation {op!r}")
+        if pre == len1 - suf and pre == len2 - suf:
+            raise NoAnchorError("premises have no differing spans to conjoin")
+        return [(1, 0, len2 - suf), None, (0, pre, len1 - suf), (1, len2 - suf, len2)]
+    raise ContractError(f"unknown operation {op!r}; expected one of {INFERENCE_OPS}")
+
+
+def derive_conclusion(p1: AnnotatedSentence, p2: AnnotatedSentence, op: str) -> list[str] | None:
+    """Token-level conclusion of :func:`inference_plan`; None when no anchor exists."""
+    try:
+        plan = inference_plan(p1, p2, op)
+    except NoAnchorError:
+        return None
+    premises = (p1.tokens, p2.tokens)
+    return [tok for piece in plan
+            for tok in (["and"] if piece is None else premises[piece[0]][piece[1]:piece[2]])]
 
 
 def inference_fixture_corpus(instances: list[InferenceInstance]) -> list[AnnotatedSentence]:
@@ -549,7 +569,6 @@ def parse_annotated(line: str) -> AnnotatedSentence:
 
 
 def save_corpus(path, sentences: list[AnnotatedSentence]) -> None:
-    from .reports import atomic_write_text
     atomic_write_text(path, "".join(format_annotated(s) + "\n" for s in sentences))
 
 
@@ -559,7 +578,6 @@ def load_corpus(path) -> list[AnnotatedSentence]:
 
 
 def save_math_corpus(path, expressions: list[MathExpression]) -> None:
-    from .reports import atomic_write_text
     atomic_write_text(path, "".join(f"{e.text()}\t{e.split_tag}\n" for e in expressions))
 
 
@@ -578,7 +596,6 @@ def load_math_corpus(path) -> list[MathExpression]:
 
 
 def save_vocab(path, vocab: Vocabulary) -> None:
-    from .reports import atomic_write_text
     atomic_write_text(path, "".join(w + "\n" for w in vocab.words))
 
 

@@ -16,14 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .corpus import role_spans
-from .errors import ContractError, NoAnchorError, ShapeError
-from .quantizer import Codebook, quantize_kmeans
+from .corpus import inference_plan
+from .errors import ContractError, ShapeError
+from .quantizer import Codebook, pairwise_sq_dists, quantize_kmeans
 
 DecodeFn = Callable[[np.ndarray], list]
 EmbedFn = Callable[[list], np.ndarray]
-
-ARG_ROLES = {"ARG0", "ARG1", "ARG2"}
 
 
 # -- interpolation --------------------------------------------------------------
@@ -54,8 +52,7 @@ def _require_quantized(latents: np.ndarray, codebook: Codebook, name: str) -> np
 
 
 def _euclidean_to_entries(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    diff = rows[:, None, :].astype(np.float64) - entries[None, :, :].astype(np.float64)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return np.sqrt(pairwise_sq_dists(rows.astype(np.float64), entries.astype(np.float64)))
 
 
 def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
@@ -131,8 +128,7 @@ def wmd(a: np.ndarray, b: np.ndarray) -> AlignmentResult:
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"wmd: embedding widths {a.shape[1]} and {b.shape[1]} disagree")
     la, lb = a.shape[0], b.shape[0]
-    diff = a[:, None, :] - b[None, :, :]
-    base_cost = np.sqrt(np.sum(diff * diff, axis=-1))
+    base_cost = _euclidean_to_entries(a, b)
 
     size = math.lcm(la, lb)
     rep_a, rep_b = size // la, size // lb
@@ -269,87 +265,17 @@ class SentenceLatents:
             raise ContractError("tokens, roles, and latent rows must align")
 
 
-def _spans_with_words(sent: SentenceLatents, roles: set[str]):
-    return [(start, end, tuple(sent.tokens[start:end]))
-            for start, end in role_spans(sent.roles, roles)]
-
-
-def _substitution(p1: SentenceLatents, p2: SentenceLatents,
-                  p2_roles: set[str]) -> np.ndarray:
-    """Replace P2's shared span with P1's counterpart span, in latent rows.
-
-    The shared span is the first P2 span (of the requested roles) whose words
-    also fill a P1 argument span.  The counterpart is the first P1 argument
-    span absent from P2; identical premises therefore substitute the span
-    with itself.
-    """
-    p1_args = _spans_with_words(p1, ARG_ROLES)
-    p2_candidates = _spans_with_words(p2, p2_roles)
-    p2_all = {words for _, _, words in _spans_with_words(p2, ARG_ROLES | {"PRED"})}
-
-    shared = None
-    shared_p1 = None
-    for start, end, words in p2_candidates:
-        for s1, e1, w1 in p1_args:
-            if words == w1:
-                shared, shared_p1 = (start, end), (s1, e1)
-                break
-        if shared:
-            break
-    if shared is None:
-        raise NoAnchorError("no shared span between premises")
-
-    counterpart = next(((s, e) for s, e, w in p1_args if w not in p2_all), shared_p1)
-    return np.concatenate([p2.latents[:shared[0]],
-                           p1.latents[counterpart[0]:counterpart[1]],
-                           p2.latents[shared[1]:]])
-
-
-def _further_specification(p1: SentenceLatents, p2: SentenceLatents) -> np.ndarray:
-    mods = role_spans(p1.roles, {"MOD"})
-    if not mods:
-        raise NoAnchorError("first premise has no MOD span to append")
-    start, end = mods[0]
-    if start > 0 and p1.tokens[start - 1] == "to":
-        start -= 1
-    return np.concatenate([p2.latents, p1.latents[start:end]])
-
-
-def _conjunction(p1: SentenceLatents, p2: SentenceLatents,
-                 and_latent: np.ndarray | None) -> np.ndarray:
-    if and_latent is None:
-        raise ContractError("conjunction requires the connective's codebook latent")
-    len1, len2 = len(p1.tokens), len(p2.tokens)
-    pre = 0
-    while pre < min(len1, len2) and p1.tokens[pre] == p2.tokens[pre]:
-        pre += 1
-    suf = 0
-    while (suf < min(len1, len2) - pre
-           and p1.tokens[len1 - 1 - suf] == p2.tokens[len2 - 1 - suf]):
-        suf += 1
-    mid1 = p1.latents[pre:len1 - suf]
-    mid2 = p2.latents[pre:len2 - suf]
-    if mid1.shape[0] == 0 and mid2.shape[0] == 0:
-        raise NoAnchorError("premises have no differing spans to conjoin")
-    connective = np.asarray(and_latent, dtype=np.float32).reshape(1, -1)
-    return np.concatenate([p2.latents[:pre], mid2, connective, mid1, p2.latents[len2 - suf:]])
-
-
-SUBSTITUTION_OPS = ("arg_sub", "verb_sub", "further_spec", "conjunction")
-
-
 def substitute_and_decode(p1: SentenceLatents, p2: SentenceLatents, op: str,
                           decode_fn: DecodeFn,
                           and_latent: np.ndarray | None = None) -> list:
-    """Latent-space inference over two premises; returns the decoded conclusion."""
-    if op == "arg_sub":
-        hybrid = _substitution(p1, p2, ARG_ROLES)
-    elif op == "verb_sub":
-        hybrid = _substitution(p1, p2, {"PRED"})
-    elif op == "further_spec":
-        hybrid = _further_specification(p1, p2)
-    elif op == "conjunction":
-        hybrid = _conjunction(p1, p2, and_latent)
-    else:
-        raise ContractError(f"unknown operation {op!r}; expected one of {SUBSTITUTION_OPS}")
-    return decode_fn(hybrid)
+    """Latent-space inference over two premises; returns the decoded conclusion.
+
+    The hybrid concatenates the latent rows of :func:`inference_plan`'s
+    slices, with ``and_latent`` as the connective's row.
+    """
+    if op == "conjunction" and and_latent is None:
+        raise ContractError("conjunction requires the connective's codebook latent")
+    rows = (p1.latents, p2.latents)
+    hybrid = [np.asarray(and_latent, dtype=np.float32).reshape(1, -1) if piece is None
+              else rows[piece[0]][piece[1]:piece[2]] for piece in inference_plan(p1, p2, op)]
+    return decode_fn(np.concatenate(hybrid))

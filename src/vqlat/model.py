@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,13 +21,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, InputError, ShapeError
+from .reports import DictCodec, atomic_write_bytes
 
 CHECKPOINT_MAGIC = b"VQL1"
 NEG_INF = -1e9
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(DictCodec):
     vocab_size: int
     d_model: int = 64
     n_heads: int = 4
@@ -43,16 +45,6 @@ class ModelConfig:
             raise ContractError("vocab_size must cover the special ids")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ContractError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-
-    def to_dict(self) -> dict:
-        return {"vocab_size": self.vocab_size, "d_model": self.d_model,
-                "n_heads": self.n_heads, "n_layers_enc": self.n_layers_enc,
-                "n_layers_dec": self.n_layers_dec, "max_len": self.max_len,
-                "dropout_rate": self.dropout_rate, "ffn_mult": self.ffn_mult}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 class ModelParams:
@@ -329,8 +321,21 @@ def read_checkpoint_bytes(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             raise InputError("truncated checkpoint")
         return struct.unpack("<I", raw)[0]
 
-    config_len = read_u32()
-    config_blob = json.loads(buf.read(config_len).decode("utf-8"))
+    def read_text(length, what):
+        raw = buf.read(length)
+        if len(raw) != length:
+            raise InputError(f"truncated checkpoint {what}")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"checkpoint {what} is not UTF-8") from exc
+
+    try:
+        config_blob = json.loads(read_text(read_u32(), "config"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"checkpoint config is not JSON: {exc}") from exc
+    if not isinstance(config_blob, dict):
+        raise InputError("checkpoint config is not a JSON object")
     tensors: dict[str, np.ndarray] = {}
     while True:
         head = buf.read(4)
@@ -338,20 +343,22 @@ def read_checkpoint_bytes(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             break
         if len(head) != 4:
             raise InputError("truncated checkpoint record")
-        name_len = struct.unpack("<I", head)[0]
-        name = buf.read(name_len).decode("utf-8")
+        name = read_text(struct.unpack("<I", head)[0], "tensor name")
         rank = read_u32()
         shape = tuple(read_u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = buf.read(count * 4)
+        count = math.prod(shape)
+        # a corrupt shape can ask for more bytes than an index can hold
+        data = buf.read(min(count * 4, len(blob)))
         if len(data) != count * 4:
             raise InputError(f"truncated data for tensor {name!r}")
-        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:  # a zero dim beside absurd ones, or rank above numpy's
+            raise InputError(f"tensor {name!r} has an unusable shape: {exc}") from exc
     return config_blob, tensors
 
 
 def save_checkpoint(path, config_blob: dict, tensors: dict[str, np.ndarray]) -> None:
-    from .reports import atomic_write_bytes
     atomic_write_bytes(path, write_checkpoint_bytes(config_blob, tensors))
 
 

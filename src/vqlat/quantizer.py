@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, ShapeError
+from .reports import DictCodec
 
 # An entry whose running count decays below this is considered dead and is
 # reseeded from the current batch.
@@ -22,7 +23,7 @@ _SCHEMES = ("kmeans", "gumbel")
 
 
 @dataclass
-class QuantizerConfig:
+class QuantizerConfig(DictCodec):
     scheme: str = "kmeans"
     commitment_beta: float = 0.25
     gumbel_tau: float = 1.0
@@ -36,15 +37,6 @@ class QuantizerConfig:
             raise ContractError(f"commitment weight must be < 1, got {self.commitment_beta}")
         if not self.gumbel_tau > 0.0:
             raise ContractError(f"gumbel temperature must be positive, got {self.gumbel_tau}")
-
-    def to_dict(self) -> dict:
-        return {"scheme": self.scheme, "commitment_beta": self.commitment_beta,
-                "gumbel_tau": self.gumbel_tau, "use_ema": self.use_ema,
-                "include_codebook_term": self.include_codebook_term}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantizerConfig":
-        return cls(**d)
 
 
 class Codebook:
@@ -103,12 +95,14 @@ class Codebook:
         return cls(data[chosen].astype(np.float32), decay=decay, seed=seed)
 
 
-def _pairwise_sq_dists(vectors: np.ndarray, entries: np.ndarray,
-                       chunk: int = 1024) -> np.ndarray:
+def pairwise_sq_dists(vectors: np.ndarray, entries: np.ndarray,
+                      chunk: int = 1024) -> np.ndarray:
     """Squared Euclidean distances [N, K] via the explicit difference form.
 
     Computed exactly as a per-pair sum of squared differences so results are
-    bit-identical to a row-by-row scan.
+    bit-identical to a row-by-row scan.  This is the package's one distance
+    kernel: quantization, interpolation, traversal and transport costs all
+    read it, in the dtype of their inputs.
     """
     vectors = np.asarray(vectors)
     out = np.empty((vectors.shape[0], entries.shape[0]), dtype=np.result_type(vectors, entries))
@@ -127,7 +121,7 @@ def quantize_kmeans(embeddings: np.ndarray, codebook: Codebook) -> tuple[np.ndar
     if embeddings.shape[1] != codebook.dim:
         raise ShapeError(f"quantize_kmeans: embedding width {embeddings.shape[1]} != codebook width {codebook.dim}")
     entries = codebook.entries.astype(embeddings.dtype, copy=False)
-    dists = _pairwise_sq_dists(embeddings, entries)
+    dists = pairwise_sq_dists(embeddings, entries)
     indices = np.argmin(dists, axis=1)
     return indices, entries[indices].copy()
 

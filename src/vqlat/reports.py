@@ -1,27 +1,22 @@
-"""Small I/O helpers: atomic writes and deterministic number formatting."""
+"""Small I/O helpers: atomic writes, strict config (de)serialization and
+deterministic number formatting."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 
+from .errors import ContractError
+
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so partial output never lands."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write UTF-8 text atomically; line endings are written as given."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
+    """Write via a sibling temp file and rename, so partial output never lands."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
@@ -33,6 +28,46 @@ def atomic_write_bytes(path, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# JSON value types accepted for each annotation name a config field uses.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
+               "None": type(None)}
+
+
+class DictCodec:
+    """Plain-dict round trip for a config dataclass, strict about its keys.
+
+    ``from_dict`` rejects a non-object, unknown keys, missing required keys
+    and values whose JSON type does not match the field's annotation with
+    :class:`ContractError`, so a bad run config or checkpoint header exits
+    with the validation code instead of a traceback.  Field annotations are
+    read as strings (``from __future__ import annotations``) naming
+    ``_JSON_TYPES`` keys.
+    """
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ContractError(f"{cls.__name__}: expected a JSON object, got {type(d).__name__}")
+        fields = dataclasses.fields(cls)
+        annotations = {f.name: f.type for f in fields}
+        unknown = sorted(set(d) - set(annotations))
+        if unknown:
+            raise ContractError(f"{cls.__name__}: unknown keys {unknown}")
+        missing = [f.name for f in fields if f.name not in d
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ContractError(f"{cls.__name__}: missing required keys {missing}")
+        for name, value in d.items():
+            kinds = tuple(_JSON_TYPES[t] for t in annotations[name].split(" | "))
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                raise ContractError(f"{cls.__name__}.{name}: expected {annotations[name]}, got {value!r}")
+        return cls(**d)
 
 
 def fmt(value: float, places: int = 6) -> str:

@@ -8,6 +8,7 @@ teacher forcing, and applies one Adam update to the network parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,11 @@ from .autodiff import Adam, Tensor
 from .corpus import Vocabulary
 from .errors import ContractError
 from .quantizer import Codebook, QuantizerConfig, ema_update, quantize_kmeans, straight_through, vq_loss
+from .reports import DictCodec
 
 
 @dataclass
-class TrainSchedule:
+class TrainSchedule(DictCodec):
     epochs: int
     batch_size: int = 32
     lr: float = 1e-3
@@ -30,17 +32,6 @@ class TrainSchedule:
     codebook_decay: float = 0.99
     target_exact_match: float | None = None
     check_every: int = 5
-
-    def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "batch_size": self.batch_size, "lr": self.lr,
-                "seed": self.seed, "codebook_size": self.codebook_size,
-                "codebook_decay": self.codebook_decay,
-                "target_exact_match": self.target_exact_match,
-                "check_every": self.check_every}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainSchedule":
-        return cls(**d)
 
 
 @dataclass
@@ -140,6 +131,10 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
     """Train on the given sentences; returns the bundle, appending per-epoch rows to ``log``."""
     if config.vocab_size != len(vocab):
         raise ContractError(f"config.vocab_size {config.vocab_size} != vocabulary size {len(vocab)}")
+    # the loop below always selects by nearest entry and moves entries by EMA
+    if qconfig.scheme != "kmeans" or not qconfig.use_ema:
+        raise ContractError(f"training supports only scheme 'kmeans' with use_ema true, got "
+                            f"scheme {qconfig.scheme!r} with use_ema {qconfig.use_ema}")
     ids = sentences_to_ids(token_lists, vocab)
     if not ids:
         raise ContractError("empty corpus")
@@ -203,6 +198,9 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
                "ce": total_ce / total_tokens,
                "commit": total_commit / total_tokens,
                "token_acc": correct_tokens / total_tokens}
+        if not (math.isfinite(row["ce"]) and math.isfinite(row["commit"])):
+            raise ContractError(f"epoch {epoch + 1}: non-finite loss (ce {row['ce']}, "
+                                f"commit {row['commit']}); lower the learning rate")
         if log is not None:
             log.append(row)
 
@@ -251,15 +249,26 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
+    """Read a checkpoint for inference; its params record no autodiff tape."""
     blob, tensors = md.load_checkpoint(path)
+    missing = [key for key in ("model", "quantizer", "codebook_decay", "vocab") if key not in blob]
+    if missing:
+        raise ContractError(f"checkpoint config lacks sections {missing}")
     config = md.ModelConfig.from_dict(blob["model"])
     qconfig = QuantizerConfig.from_dict(blob["quantizer"])
     vocab = Vocabulary(blob["vocab"])
+    if len(vocab) != config.vocab_size:
+        raise ContractError(f"checkpoint vocabulary size {len(vocab)} != model vocab_size {config.vocab_size}")
+    layout = {name: t.shape for name, t in
+              md.init_params(config, np.random.default_rng(0)).tensors.items()}
+    k = tensors.get("codebook.N", np.empty(0)).size
+    layout.update({"codebook.z": (k, config.d_model), "codebook.N": (k,),
+                   "codebook.m": (k, config.d_model)})
+    if {name: arr.shape for name, arr in tensors.items()} != layout:
+        raise ContractError("checkpoint tensor names or shapes do not match the model layout")
+    if not all(np.isfinite(arr).all() for arr in tensors.values()):
+        raise ContractError("checkpoint holds non-finite weights")
     codebook = Codebook(tensors.pop("codebook.z"), decay=blob["codebook_decay"],
                         counts=tensors.pop("codebook.N"), sums=tensors.pop("codebook.m"))
-    params = md.ModelParams({name: Tensor(arr, requires_grad=True)
-                             for name, arr in tensors.items()})
-    expected = set(md.init_params(config, np.random.default_rng(0)).names())
-    if set(params.names()) != expected:
-        raise ContractError("checkpoint tensor names do not match the model layout")
+    params = md.ModelParams({name: Tensor(arr) for name, arr in tensors.items()})
     return ModelBundle(config, params, codebook, qconfig, vocab)

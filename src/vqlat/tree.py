@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ContractError
 from .quantizer import Codebook, quantize_kmeans
+from .reports import atomic_write_text
 
 
 @dataclass
@@ -305,7 +306,6 @@ def tree_from_json(text: str) -> DecisionTree:
 
 
 def save_tree(path, tree: DecisionTree) -> None:
-    from .reports import atomic_write_text
     atomic_write_text(path, tree_to_json(tree) + "\n")
 
 

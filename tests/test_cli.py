@@ -5,6 +5,7 @@ import json
 import pytest
 
 from vqlat import corpus as cg
+from vqlat import model as md
 from vqlat.cli import main
 from vqlat.training import save_bundle
 
@@ -103,6 +104,40 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 3
 
 
+# Each edit turns a valid run config into one `vqlat train` must refuse.
+BAD_RUN_CONFIGS = [
+    ("unknown_key", lambda c: {**c, "epoch": 2}),
+    ("unknown_section_key", lambda c: {**c, "model": {**c["model"], "dmodel": 16}}),
+    ("missing_epochs", lambda c: {**c, "schedule": {k: v for k, v in c["schedule"].items()
+                                                    if k != "epochs"}}),
+    ("non_object_section", lambda c: {**c, "quantizer": ["kmeans"]}),
+    ("non_object_config", lambda c: [c]),
+    ("mistyped_value", lambda c: {**c, "schedule": {**c["schedule"], "epochs": "2"}}),
+    ("not_json", lambda c: json.dumps(c)[:-1]),
+    ("gumbel_scheme", lambda c: {**c, "quantizer": {"scheme": "gumbel"}}),
+    ("ema_off", lambda c: {**c, "quantizer": {"use_ema": False}}),
+    ("non_finite_loss", lambda c: {**c, "schedule": {**c["schedule"], "lr": 1e9}}),
+]
+
+
+@pytest.mark.parametrize("edit", [e for _, e in BAD_RUN_CONFIGS],
+                         ids=[name for name, _ in BAD_RUN_CONFIGS])
+def test_bad_run_config_exits_three_and_writes_nothing(tmp_path, capsys, edit):
+    corpus = tmp_path / "corpus.txt"
+    cg.save_corpus(corpus, cg.generate_sentences(5, 12))
+    config = {"seed": 7, "corpus": str(corpus), "out_dir": str(tmp_path / "run"),
+              "model": {"d_model": 8, "n_heads": 2, "max_len": 16},
+              "quantizer": {},
+              "schedule": {"epochs": 2, "batch_size": 8, "lr": 0.002,
+                           "codebook_size": 8, "codebook_decay": 0.9}}
+    edited = edit(config)
+    path = tmp_path / "run.json"
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    assert main(["train", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
 class TestReports:
     def test_reconstruct_report(self, tmp_path, tiny_ckpt):
         assert main(["reconstruct", "--checkpoint", tiny_ckpt["ckpt"],
@@ -197,6 +232,27 @@ class TestExitCodes:
         assert main(["tree", "--checkpoint", tiny_ckpt["ckpt"],
                      "--corpus", tiny_ckpt["corpus"], "--region", "bogus",
                      "--out", str(tmp_path)]) == 3
+
+    def test_truncated_checkpoint_is_three(self, tmp_path, capsys):
+        sentences = cg.generate_sentences(5, 12)
+        bundle, _ = train_bundle([s.tokens for s in sentences], epochs=0, codebook_size=8,
+                                 d_model=8, n_heads=2)
+        save_bundle(tmp_path / "full.ckpt", bundle)
+        raw = (tmp_path / "full.ckpt").read_bytes()
+        blob, tensors = md.read_checkpoint_bytes(raw)
+        names = list(tensors)
+        # every record boundary, plus a stride through headers and tensor data
+        cuts = {len(md.write_checkpoint_bytes(blob, {n: tensors[n] for n in names[:k]}))
+                for k in range(len(names))}
+        cuts |= set(range(0, len(raw), 13))
+        corpus = tmp_path / "corpus.txt"
+        cg.save_corpus(corpus, sentences)
+        ckpt = tmp_path / "cut.ckpt"
+        for cut in sorted(cuts):
+            ckpt.write_bytes(raw[:cut])
+            assert main(["reconstruct", "--checkpoint", str(ckpt),
+                         "--corpus", str(corpus)]) == 3, cut
+            assert capsys.readouterr().err.startswith("error: "), cut
 
     def test_io_error_is_four(self, tiny_ckpt, tmp_path):
         assert main(["reconstruct", "--checkpoint", tiny_ckpt["ckpt"],

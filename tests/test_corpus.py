@@ -94,6 +94,20 @@ class TestInferenceInstances:
             assert inst.premise2.tokens[-1] == verb
             assert inst.conclusion.tokens[-1] == synonym
 
+    def test_derive_conclusion_matches_every_instance(self):
+        # 1440 exhausts every op's pool: 32 + 320 + 288 + 800 instances
+        instances = cg.generate_inference_instances(0, 1440, ops=cg.INFERENCE_OPS)
+        assert {i.op for i in instances} == set(cg.INFERENCE_OPS)
+        for inst in instances:
+            assert cg.derive_conclusion(inst.premise1, inst.premise2, inst.op) == inst.conclusion.tokens
+
+    def test_derive_conclusion_none_without_anchor(self):
+        shark = cg.make_is_a("shark", "fish")
+        assert cg.derive_conclusion(shark, cg.make_is_a("oak", "tree"), "arg_sub") is None
+        assert cg.derive_conclusion(shark, cg.make_can("shark", "swim"), "further_spec") is None
+        with pytest.raises(ContractError):
+            cg.derive_conclusion(shark, shark, "negate")
+
     def test_fixture_corpus_dedupes(self):
         insts = cg.generate_inference_instances(3, 50)
         corpus = cg.inference_fixture_corpus(insts)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqlat import corpus as cg
 from vqlat import model as md
@@ -110,6 +112,7 @@ class TestBundlePersistence:
         save_bundle(path, bundle)
         raw = path.read_bytes()
         loaded = load_bundle(path)
+        assert loaded.params.trainable() == []  # inference records no tape
         save_bundle(path, loaded)
         assert path.read_bytes() == raw
 
@@ -124,6 +127,33 @@ class TestBundlePersistence:
         save_bundle(path, memorization_fixture["bundle"])
         _, tensors = md.load_checkpoint(path)
         assert {"codebook.z", "codebook.N", "codebook.m"} <= set(tensors)
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture(scope="class")
+    def raw(self, tmp_path_factory):
+        tokens = small_corpus(12)
+        vocab = cg.build_vocab(tokens)
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, max_len=16)
+        bundle = train_model(tokens, vocab, config, QuantizerConfig(),
+                             make_schedule(epochs=0, codebook_size=8))
+        path = tmp_path_factory.mktemp("flip") / "model.ckpt"
+        save_bundle(path, bundle)
+        return path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_flip_loads_or_is_contract_error(self, raw, tmp_path_factory, data):
+        # half the flips land in the first KiB: magic, config JSON, first records
+        offset = data.draw(st.integers(0, 1023) | st.integers(0, len(raw) - 1))
+        flipped = bytearray(raw)
+        flipped[offset] ^= 1 << data.draw(st.integers(0, 7))
+        path = tmp_path_factory.getbasetemp() / "flipped.ckpt"
+        path.write_bytes(bytes(flipped))
+        try:
+            load_bundle(path)
+        except ContractError:
+            pass
 
 
 class TestBundleHelpers:
