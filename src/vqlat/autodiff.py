@@ -73,47 +73,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(_coerce(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(_coerce(other, self), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis: Axis = None, keepdims: bool = False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis: Axis = None, keepdims: bool = False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-    def backward(self) -> None:
-        backward(self)
-
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],
           backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:

@@ -21,7 +21,7 @@ import numpy as np
 from . import corpus as cg
 from . import geometry as geo
 from . import tree as tc
-from .errors import ContractError
+from .errors import ContractError, InputError
 from .metrics import corpus_bleu
 from .model import ModelConfig
 from .quantizer import QuantizerConfig
@@ -31,6 +31,7 @@ from .training import (
     TrainSchedule,
     load_bundle,
     save_bundle,
+    sentences_to_ids,
     token_accuracy,
     train_model,
 )
@@ -80,10 +81,15 @@ def load_run_config(path: str, overrides: dict) -> RunConfig:
                       ("corpus", str)):
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
+            try:
+                value = cast(env)
+            except ValueError:
+                raise ContractError(f"environment override {ENV_PREFIX}{key.upper()}={env!r} "
+                                    f"is not a valid {cast.__name__}") from None
             if key in ("epochs", "lr"):
-                config.schedule[key] = cast(env)
+                config.schedule[key] = value
             else:
-                setattr(config, key, cast(env))
+                setattr(config, key, value)
     for key, value in overrides.items():
         if value is None:
             continue
@@ -149,10 +155,8 @@ def cmd_train(args) -> int:
 
 
 def _reconstruct_report(bundle: ModelBundle, tokens: list[list[str]]) -> str:
-    decoded = []
-    for words in tokens:
-        _, quantized = bundle.quantize_words(words)
-        decoded.append(bundle.decode_words(quantized, max_len=len(words) + 2))
+    decoded = [[bundle.vocab.word_of(i) for i in bundle.autoencode_ids(row)]
+               for row in sentences_to_ids(tokens, bundle.vocab)]
     exact = sum(d == t for d, t in zip(decoded, tokens)) / len(tokens)
     teacher_acc = token_accuracy(bundle, tokens)
     bleu = corpus_bleu(decoded, tokens)
@@ -183,6 +187,8 @@ def _interpolation_pairs(args, count: int) -> list[tuple[int, int]]:
         raise ContractError("--source and --target must be given together")
     if args.source is not None:
         return [(args.source, args.target)]
+    if args.random < 1:
+        raise ContractError(f"--random must be at least 1, got {args.random}")
     rng = np.random.default_rng(args.seed)
     pairs = []
     for _ in range(args.random):
@@ -218,10 +224,18 @@ def cmd_interpolate(args) -> int:
     return 0
 
 
+def _known_words(bundle: ModelBundle, sentence: str) -> list[str]:
+    """Split a command-line sentence, rejecting words the checkpoint never saw."""
+    words = sentence.split()
+    unknown = next((w for w in words if w not in bundle.vocab), None)
+    if unknown is not None:
+        raise InputError(f"word {unknown!r} is not in the checkpoint vocabulary")
+    return words
+
+
 def cmd_traverse(args) -> int:
     bundle = load_bundle(args.checkpoint)
-    words = args.sentence.split()
-    _, quantized = bundle.quantize_words(words)
+    _, quantized = bundle.quantize_words(_known_words(bundle, args.sentence))
     variants = geo.traverse_position(quantized, args.position, bundle.codebook,
                                      args.n, bundle.decode_words)
     for k, variant in enumerate(variants):
@@ -231,8 +245,8 @@ def cmd_traverse(args) -> int:
 
 def cmd_arith(args) -> int:
     bundle = load_bundle(args.checkpoint)
-    _, a = bundle.quantize_words(args.a.split())
-    _, b = bundle.quantize_words(args.b.split())
+    _, a = bundle.quantize_words(_known_words(bundle, args.a))
+    _, b = bundle.quantize_words(_known_words(bundle, args.b))
     result = geo.latent_arithmetic_add(a, b, bundle.codebook, bundle.decode_words)
     print(" ".join(result.decoded))
     return 0

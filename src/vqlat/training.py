@@ -1,9 +1,8 @@
 """Training loop for the quantized autoencoder and the trained-artifact bundle.
 
-Sentences are bucketed by length so batches never need padding.  Each step
-encodes a batch, quantizes against the codebook, folds the batch into the
-codebook's moving averages, decodes through the straight-through latents with
-teacher forcing, and applies one Adam update to the network parameters.
+Sentences are batched by length so batches never need padding.  Each step runs
+the teacher-forced forward that token accuracy also scores, folds the batch
+into the codebook's moving averages, and applies one Adam update.
 """
 
 from __future__ import annotations
@@ -51,8 +50,12 @@ class ModelBundle:
         """Continuous (pre-quantization) latent rows for a word sequence."""
         return md.encode(self.word_ids(words), self.params, self.config).data
 
+    def quantize_ids(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-entry indices and quantized latent rows of one id sequence."""
+        return quantize_kmeans(md.encode(ids, self.params, self.config).data, self.codebook)
+
     def quantize_words(self, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        return quantize_kmeans(self.encode_words(words), self.codebook)
+        return self.quantize_ids(self.word_ids(words))
 
     def decode_ids(self, latents: np.ndarray, max_len: int | None = None) -> list[int]:
         return md.greedy_generate(latents, self.params, self.config,
@@ -62,19 +65,18 @@ class ModelBundle:
     def decode_words(self, latents: np.ndarray, max_len: int | None = None) -> list[str]:
         return [self.vocab.word_of(i) for i in self.decode_ids(latents, max_len)]
 
+    def autoencode_ids(self, ids) -> list[int]:
+        """Greedy reconstruction of one id sequence from its quantized latents."""
+        return self.decode_ids(self.quantize_ids(ids)[1], max_len=len(ids) + 2)
+
     def wmd_embeddings(self, words: list[str]) -> np.ndarray:
         """Quantized latents of a word sequence; empty sequences fall back to
         the end marker's latent so distance comparisons stay total."""
-        ids = [self.vocab.id_of(w) for w in words] or [self.vocab.END]
-        rows = md.encode(ids, self.params, self.config).data
-        _, quantized = quantize_kmeans(rows, self.codebook)
-        return quantized
+        return self.quantize_ids([self.vocab.id_of(w) for w in words] or [self.vocab.END])[1]
 
     def end_token_latent(self) -> np.ndarray:
         """Codebook entry nearest the end marker's embedding; used as padding."""
-        rows = md.encode([self.vocab.END], self.params, self.config).data
-        _, quantized = quantize_kmeans(rows, self.codebook)
-        return quantized[0]
+        return self.wmd_embeddings([])[0]
 
     def connective_latent(self, sentence_with_and: list[str]) -> np.ndarray:
         """Quantized latent of the first 'and' token in the given sentence."""
@@ -88,41 +90,50 @@ def sentences_to_ids(token_lists: list[list[str]], vocab: Vocabulary) -> list[np
     return [np.asarray([vocab.id_of(t) for t in toks], dtype=np.int64) for toks in token_lists]
 
 
-def _length_buckets(ids: list[np.ndarray]) -> dict[int, list[int]]:
-    buckets: dict[int, list[int]] = {}
+def length_batches(ids: list[np.ndarray], batch_size: int | None = None,
+                   rng: np.random.Generator | None = None):
+    """Same-length [B, L] id batches, shortest length first; ``rng`` shuffles each
+    length's sentences, and without a ``batch_size`` each length is one batch."""
+    positions: dict[int, list[int]] = {}
     for i, row in enumerate(ids):
-        buckets.setdefault(len(row), []).append(i)
-    return buckets
+        positions.setdefault(len(row), []).append(i)
+    for length in sorted(positions):
+        order = np.array(positions[length])
+        if rng is not None:
+            rng.shuffle(order)
+        step = len(order) if batch_size is None else batch_size
+        for start in range(0, len(order), step):
+            yield np.stack([ids[i] for i in order[start:start + step]])
+
+
+def teacher_forced(bundle: ModelBundle, rows: np.ndarray, training: bool = False,
+                   rng: np.random.Generator | None = None):
+    """Encode and quantize one [B, L] batch, then decode it behind the start marker
+    through the straight-through latents.  Returns the encoder output, the entry
+    indices [B*L], the quantized rows, the logits and the end-closed targets [B, L+1]."""
+    params, config, vocab = bundle.params, bundle.config, bundle.vocab
+    enc_out = md.encode_batch(rows, params, config, training=training, rng=rng)
+    indices, quantized = quantize_kmeans(enc_out.data.reshape(-1, config.d_model), bundle.codebook)
+    quantized = quantized.reshape(enc_out.shape)
+    b = rows.shape[0]
+    dec_in = np.concatenate([np.full((b, 1), vocab.START, dtype=np.int64), rows], axis=1)
+    targets = np.concatenate([rows, np.full((b, 1), vocab.END, dtype=np.int64)], axis=1)
+    logits = md.decode_batch(straight_through(enc_out, quantized), dec_in, params, config,
+                             training=training, rng=rng)
+    return enc_out, indices, quantized, logits, targets
 
 
 def warmup_codebook(ids: list[np.ndarray], params: md.ModelParams, config: md.ModelConfig,
                     k: int, decay: float, rng: np.random.Generator) -> Codebook:
     """Collect one eval-mode pass of encoder outputs and seed entries from them."""
-    outputs = []
-    buckets = _length_buckets(ids)
-    for length in sorted(buckets):
-        rows = np.stack([ids[i] for i in buckets[length]])
-        out = md.encode_batch(rows, params, config).data
-        outputs.append(out.reshape(-1, config.d_model))
-    data = np.concatenate(outputs, axis=0)
+    data = np.concatenate([md.encode_batch(rows, params, config).data.reshape(-1, config.d_model)
+                           for rows in length_batches(ids)], axis=0)
     return Codebook.init_from_data(data, k, rng, decay=decay, seed=int(rng.integers(2**31)))
 
 
 def exact_match_rate(bundle: ModelBundle, ids: list[np.ndarray]) -> float:
     """Fraction of sentences greedy decoding reproduces token-for-token."""
-    hits = 0
-    buckets = _length_buckets(ids)
-    for length in sorted(buckets):
-        rows = np.stack([ids[i] for i in buckets[length]])
-        latents = md.encode_batch(rows, bundle.params, bundle.config).data
-        flat = latents.reshape(-1, bundle.config.d_model)
-        _, quantized = quantize_kmeans(flat, bundle.codebook)
-        quantized = quantized.reshape(latents.shape)
-        for row, lat in zip(rows, quantized):
-            decoded = bundle.decode_ids(lat, max_len=length + 2)
-            if decoded == list(row):
-                hits += 1
-    return hits / len(ids)
+    return sum(bundle.autoencode_ids(row) == list(row) for row in ids) / len(ids)
 
 
 def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.ModelConfig,
@@ -153,46 +164,32 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
     bundle = ModelBundle(config, params, codebook, qconfig, vocab)
     optimizer = Adam(params.trainable(), lr=schedule.lr)
     beta = qconfig.commitment_beta
-    buckets = _length_buckets(ids)
 
     for epoch in range(schedule.epochs):
         total_ce = 0.0
         total_commit = 0.0
         total_tokens = 0
         correct_tokens = 0
-        for length in sorted(buckets):
-            order = np.array(buckets[length])
-            batch_rng.shuffle(order)
-            for start in range(0, len(order), schedule.batch_size):
-                chosen = order[start:start + schedule.batch_size]
-                rows = np.stack([ids[i] for i in chosen])
-                b = rows.shape[0]
+        for rows in length_batches(ids, schedule.batch_size, batch_rng):
+            enc_out, indices, quantized, logits, targets = teacher_forced(
+                bundle, rows, training=True, rng=drop_rng)
+            ema_update(codebook, enc_out.data.reshape(-1, config.d_model).astype(np.float64),
+                       indices)
+            flat_logits = ad.reshape(logits, (targets.size, config.vocab_size))
+            ce = ad.cross_entropy_with_logits(flat_logits, targets.reshape(-1))
+            loss = vq_loss(enc_out, quantized, ce, beta,
+                           include_codebook_term=qconfig.include_codebook_term,
+                           reduction="mean")
 
-                enc_out = md.encode_batch(rows, params, config, training=True, rng=drop_rng)
-                flat = enc_out.data.reshape(-1, config.d_model)
-                indices, quantized = quantize_kmeans(flat, codebook)
-                ema_update(codebook, flat.astype(np.float64), indices)
+            optimizer.zero_grad()
+            ad.backward(loss)
+            optimizer.step()
 
-                st_latents = straight_through(enc_out, quantized.reshape(enc_out.shape))
-                dec_in = np.concatenate([np.full((b, 1), vocab.START, dtype=np.int64), rows], axis=1)
-                targets = np.concatenate([rows, np.full((b, 1), vocab.END, dtype=np.int64)], axis=1)
-                logits = md.decode_batch(st_latents, dec_in, params, config,
-                                         training=True, rng=drop_rng)
-                flat_logits = ad.reshape(logits, (b * (length + 1), config.vocab_size))
-                ce = ad.cross_entropy_with_logits(flat_logits, targets.reshape(-1))
-                loss = vq_loss(enc_out, quantized.reshape(enc_out.shape), ce, beta,
-                               include_codebook_term=qconfig.include_codebook_term,
-                               reduction="mean")
-
-                optimizer.zero_grad()
-                ad.backward(loss)
-                optimizer.step()
-
-                n_tok = targets.size
-                total_ce += float(ce.data) * n_tok
-                total_commit += (float(loss.data) - float(ce.data)) * n_tok
-                total_tokens += n_tok
-                correct_tokens += int((logits.data.argmax(axis=-1) == targets).sum())
+            n_tok = targets.size
+            total_ce += float(ce.data) * n_tok
+            total_commit += (float(loss.data) - float(ce.data)) * n_tok
+            total_tokens += n_tok
+            correct_tokens += int((logits.data.argmax(axis=-1) == targets).sum())
 
         row = {"epoch": epoch + 1,
                "ce": total_ce / total_tokens,
@@ -214,20 +211,9 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
 
 def token_accuracy(bundle: ModelBundle, token_lists: list[list[str]]) -> float:
     """Teacher-forced next-token accuracy over a corpus."""
-    ids = sentences_to_ids(token_lists, bundle.vocab)
-    buckets = _length_buckets(ids)
-    total = 0
-    correct = 0
-    for length in sorted(buckets):
-        rows = np.stack([ids[i] for i in buckets[length]])
-        b = rows.shape[0]
-        enc_out = md.encode_batch(rows, bundle.params, bundle.config)
-        flat = enc_out.data.reshape(-1, bundle.config.d_model)
-        _, quantized = quantize_kmeans(flat, bundle.codebook)
-        latents = Tensor(quantized.reshape(enc_out.shape))
-        dec_in = np.concatenate([np.full((b, 1), bundle.vocab.START, dtype=np.int64), rows], axis=1)
-        targets = np.concatenate([rows, np.full((b, 1), bundle.vocab.END, dtype=np.int64)], axis=1)
-        logits = md.decode_batch(latents, dec_in, bundle.params, bundle.config)
+    total = correct = 0
+    for rows in length_batches(sentences_to_ids(token_lists, bundle.vocab)):
+        *_, logits, targets = teacher_forced(bundle, rows)
         total += targets.size
         correct += int((logits.data.argmax(axis=-1) == targets).sum())
     return correct / total

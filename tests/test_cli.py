@@ -138,6 +138,24 @@ def test_bad_run_config_exits_three_and_writes_nothing(tmp_path, capsys, edit):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("name,value", [("VQL_EPOCHS", "two"), ("VQL_LR", "fast"),
+                                        ("VQL_SEED", "1.5")])
+def test_bad_env_override_exits_three_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                         name, value):
+    corpus = tmp_path / "corpus.txt"
+    cg.save_corpus(corpus, cg.generate_sentences(5, 12))
+    config = {"seed": 7, "corpus": str(corpus), "out_dir": str(tmp_path / "run"),
+              "model": {"d_model": 8, "n_heads": 2, "max_len": 16},
+              "schedule": {"epochs": 1, "codebook_size": 8}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setenv(name, value)
+    assert main(["train", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not (tmp_path / "run").exists()
+
+
 class TestReports:
     def test_reconstruct_report(self, tmp_path, tiny_ckpt):
         assert main(["reconstruct", "--checkpoint", tiny_ckpt["ckpt"],
@@ -253,6 +271,34 @@ class TestExitCodes:
             assert main(["reconstruct", "--checkpoint", str(ckpt),
                          "--corpus", str(corpus)]) == 3, cut
             assert capsys.readouterr().err.startswith("error: "), cut
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_interpolate_random_below_one_is_three(self, tiny_ckpt, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        assert main(["interpolate", "--checkpoint", tiny_ckpt["ckpt"],
+                     "--corpus", tiny_ckpt["corpus"], "--random", count,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["traverse", "arith"])
+    def test_out_of_vocabulary_word_is_three(self, tiny_ckpt, capsys, command):
+        known = tiny_ckpt["sentences"][0].tokens
+        sentence = " ".join(known[:1] + ["zebra"] + known[1:] + ["quokka"])
+        if command == "traverse":
+            argv = ["traverse", "--sentence", sentence, "--position", "0"]
+        else:
+            argv = ["arith", "--a", " ".join(known), "--b", sentence]
+        assert main(argv + ["--checkpoint", tiny_ckpt["ckpt"]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'zebra'" in err and "quokka" not in err
+
+    def test_reconstruct_maps_unknown_words_to_unk(self, tiny_ckpt, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a/O zebra/ARG1 is/PRED a/O kind/O of/O fish/ARG2\n")
+        assert main(["reconstruct", "--checkpoint", tiny_ckpt["ckpt"],
+                     "--corpus", str(corpus)]) == 0
+        assert "sentences\t1" in capsys.readouterr().out
 
     def test_io_error_is_four(self, tiny_ckpt, tmp_path):
         assert main(["reconstruct", "--checkpoint", tiny_ckpt["ckpt"],

@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from vqlat import corpus as cg
 from vqlat import model as md
+from vqlat.cli import _reconstruct_report
 from vqlat.errors import ContractError
 from vqlat.model import ModelConfig
 from vqlat.quantizer import QuantizerConfig, quantize_kmeans
+from vqlat.reports import fmt
 from vqlat.training import (
     TrainSchedule,
     exact_match_rate,
+    length_batches,
     load_bundle,
     save_bundle,
     sentences_to_ids,
+    teacher_forced,
     token_accuracy,
     train_model,
 )
@@ -85,6 +89,27 @@ class TestTrainModel:
             train_model(tokens, vocab, config, QuantizerConfig(), make_schedule())
 
 
+class TestLengthBatches:
+    def test_shuffled_batches_follow_the_per_length_shuffle(self):
+        tokens = small_corpus(40)
+        ids = sentences_to_ids(tokens, cg.build_vocab(tokens))
+        got = [b.tolist() for b in length_batches(ids, 4, np.random.default_rng(9))]
+        # reference: bucket positions by length, shuffle each bucket, cut into batches
+        rng = np.random.default_rng(9)
+        want = []
+        for length in sorted({len(row) for row in ids}):
+            order = np.array([i for i, row in enumerate(ids) if len(row) == length])
+            rng.shuffle(order)
+            want += [[ids[i].tolist() for i in order[start:start + 4]]
+                     for start in range(0, len(order), 4)]
+        assert got == want
+
+    def test_unbatched_lengths_keep_corpus_order(self):
+        ids = [np.array([5, 6]), np.array([7]), np.array([8, 9]), np.array([4])]
+        got = [b.tolist() for b in length_batches(ids)]
+        assert got == [[[7], [4]], [[5, 6], [8, 9]]]
+
+
 class TestMemorization:
     def test_exact_match_reaches_one(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
@@ -103,6 +128,30 @@ class TestMemorization:
         words = memorization_fixture["tokens"][0]
         _, quantized = bundle.quantize_words(words)
         assert bundle.decode_words(quantized) == bundle.decode_words(quantized)
+
+
+class TestSharedPasses:
+    def test_teacher_forced_rows_equal_bundle_quantizer(self, memorization_fixture):
+        bundle = memorization_fixture["bundle"]
+        ids = sentences_to_ids(memorization_fixture["tokens"], bundle.vocab)
+        seen = 0
+        for rows in length_batches(ids):
+            _, indices, quantized, _, _ = teacher_forced(bundle, rows)
+            for row, row_indices, row_quantized in zip(rows, indices.reshape(rows.shape),
+                                                        quantized):
+                want_indices, want_quantized = bundle.quantize_words(
+                    [bundle.vocab.word_of(i) for i in row])
+                assert np.array_equal(row_indices, want_indices)
+                assert np.array_equal(row_quantized, want_quantized)
+                seen += 1
+        assert seen == len(ids)
+
+    def test_exact_match_rate_equals_reconstruct_report(self, memorization_fixture):
+        bundle = memorization_fixture["bundle"]
+        tokens = memorization_fixture["tokens"]
+        report = _reconstruct_report(bundle, tokens)
+        rate = exact_match_rate(bundle, sentences_to_ids(tokens, bundle.vocab))
+        assert report.splitlines()[1] == f"exact_match\t{fmt(rate)}"
 
 
 class TestBundlePersistence:
