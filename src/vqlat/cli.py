@@ -155,8 +155,8 @@ def cmd_train(args) -> int:
 
 
 def _reconstruct_report(bundle: ModelBundle, tokens: list[list[str]]) -> str:
-    decoded = [[bundle.vocab.word_of(i) for i in bundle.autoencode_ids(row)]
-               for row in sentences_to_ids(tokens, bundle.vocab)]
+    decoded = [[bundle.vocab.word_of(i) for i in row]
+               for row in bundle.autoencode_ids(sentences_to_ids(tokens, bundle.vocab))]
     exact = sum(d == t for d, t in zip(decoded, tokens)) / len(tokens)
     teacher_acc = token_accuracy(bundle, tokens)
     bleu = corpus_bleu(decoded, tokens)
@@ -186,6 +186,9 @@ def _interpolation_pairs(args, count: int) -> list[tuple[int, int]]:
     if (args.source is None) != (args.target is None):
         raise ContractError("--source and --target must be given together")
     if args.source is not None:
+        for flag, index in (("--source", args.source), ("--target", args.target)):
+            if not 0 <= index < count:
+                raise ContractError(f"{flag} {index} outside the corpus of {count} sentences")
         return [(args.source, args.target)]
     if args.random < 1:
         raise ContractError(f"--random must be at least 1, got {args.random}")

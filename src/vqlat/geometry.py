@@ -20,6 +20,7 @@ from .corpus import inference_plan
 from .errors import ContractError, ShapeError
 from .quantizer import Codebook, pairwise_sq_dists, quantize_kmeans
 
+# Decodes a stack of same-length latent sequences [B, L, d]: one decode per row.
 DecodeFn = Callable[[np.ndarray], list]
 EmbedFn = Callable[[list], np.ndarray]
 
@@ -85,15 +86,16 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
     entries = codebook.entries
     tgt_dists = _euclidean_to_entries(target, entries)
     n_steps = round(1.0 / step_size)
-    steps = [PathStep(0.0, source.copy(), src_idx.copy(), decode_fn(source))]
+    points = [(0.0, source.copy(), src_idx.copy())]
     current = source
     for k in range(1, n_steps + 1):
         t = min(k * step_size, 1.0) if k < n_steps else 1.0
         cost = (1.0 - t) * _euclidean_to_entries(current, entries) + t * tgt_dists
         idx = np.argmin(cost, axis=1)
         current = entries[idx].copy()
-        steps.append(PathStep(t, current, idx, decode_fn(current)))
-    return InterpolationPath(steps, step_size)
+        points.append((t, current, idx))
+    decoded = decode_fn(np.stack([latents for _, latents, _ in points]))
+    return InterpolationPath([PathStep(*p, d) for p, d in zip(points, decoded)], step_size)
 
 
 def dump_path(path: InterpolationPath) -> str:
@@ -180,12 +182,9 @@ def traverse_position(latents: np.ndarray, position: int, codebook: Codebook,
         raise ContractError(f"n_variants must lie in [1, {codebook.size}], got {n_variants}")
     dists = _euclidean_to_entries(latents[position:position + 1], codebook.entries)[0]
     order = np.argsort(dists, kind="stable")[:n_variants]
-    outputs = []
-    for entry_idx in order:
-        variant = latents.copy()
-        variant[position] = codebook.entries[entry_idx]
-        outputs.append(decode_fn(variant))
-    return outputs
+    variants = np.repeat(latents[None], n_variants, axis=0)
+    variants[:, position] = codebook.entries[order]
+    return decode_fn(variants)
 
 
 @dataclass
@@ -203,7 +202,7 @@ def latent_arithmetic_add(a: np.ndarray, b: np.ndarray, codebook: Codebook,
     rows = min(a.shape[0], b.shape[0])
     total = a[:rows] + b[:rows]
     indices, quantized = quantize_kmeans(total, codebook)
-    return ArithmeticResult(indices, quantized, decode_fn(quantized))
+    return ArithmeticResult(indices, quantized, decode_fn(quantized[None])[0])
 
 
 # -- disentanglement statistics ------------------------------------------------------
@@ -278,4 +277,4 @@ def substitute_and_decode(p1: SentenceLatents, p2: SentenceLatents, op: str,
     rows = (p1.latents, p2.latents)
     hybrid = [np.asarray(and_latent, dtype=np.float32).reshape(1, -1) if piece is None
               else rows[piece[0]][piece[1]:piece[2]] for piece in inference_plan(p1, p2, op)]
-    return decode_fn(np.concatenate(hybrid))
+    return decode_fn(np.concatenate(hybrid)[None])[0]

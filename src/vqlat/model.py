@@ -2,7 +2,7 @@
 quantized latent rows as key and value.
 
 The encoder maps each input token to one continuous vector; those vectors are
-quantized elsewhere and handed back to :func:`decode`, whose cross-attention
+quantized elsewhere and handed back to :func:`decode_batch`, whose cross-attention
 uses them directly (they are never concatenated into the token stream).
 Positions are sinusoidal; blocks are pre-norm with a final layer norm on each
 stack.
@@ -255,30 +255,19 @@ def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
     return ad.add(ad.matmul(x, params["out.w"]), params["out.b"])
 
 
-def decode(latents, prefix_ids, params: ModelParams, config: ModelConfig,
-           training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Logits [L', vocab] for a single latent sequence [L, d]."""
-    lat = latents if isinstance(latents, Tensor) else Tensor(np.asarray(latents))
-    if lat.ndim != 2:
-        raise ShapeError(f"decode: expected [L, d] latents, got {lat.shape}")
-    ids = np.asarray(list(prefix_ids), dtype=np.int64)
-    out = decode_batch(ad.reshape(lat, (1,) + lat.shape), ids[None, :], params, config,
-                       training=training, rng=rng)
-    return ad.reshape(out, (ids.shape[0], config.vocab_size))
-
-
 def greedy_generate(latents, params: ModelParams, config: ModelConfig,
-                    max_len: int, start_id: int = 1, end_id: int = 2) -> list[int]:
-    """Greedy argmax decoding from the start token; emits at most ``max_len`` ids."""
-    generated: list[int] = []
+                    max_len: int, start_id: int = 1, end_id: int = 2) -> list[list[int]]:
+    """Greedy argmax decoding of a stack of same-length latents [B, L, d] from the
+    start token.  Returns B id lists, each cut before its first ``end_id`` and
+    holding at most ``max_len`` ids."""
+    lat = Tensor(np.asarray(latents))
+    prefix = np.full((lat.shape[0], 1), start_id, dtype=np.int64)
     for _ in range(max_len):
-        prefix = [start_id] + generated
-        logits = decode(latents, prefix, params, config)
-        next_id = int(np.argmax(logits.data[-1]))
-        if next_id == end_id:
+        logits = decode_batch(lat, prefix, params, config)
+        prefix = np.concatenate([prefix, logits.data[:, -1].argmax(axis=-1)[:, None]], axis=1)
+        if (prefix[:, 1:] == end_id).any(axis=1).all():
             break
-        generated.append(next_id)
-    return generated
+    return [row[:row.index(end_id)] if end_id in row else row for row in prefix[:, 1:].tolist()]
 
 
 # -- checkpoint format ---------------------------------------------------------

@@ -32,6 +32,11 @@ class TrainSchedule(DictCodec):
     target_exact_match: float | None = None
     check_every: int = 5
 
+    def __post_init__(self):
+        for name in ("batch_size", "check_every"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"schedule {name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class ModelBundle:
@@ -57,17 +62,24 @@ class ModelBundle:
     def quantize_words(self, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
         return self.quantize_ids(self.word_ids(words))
 
-    def decode_ids(self, latents: np.ndarray, max_len: int | None = None) -> list[int]:
+    def decode_ids(self, latents: np.ndarray, max_len: int | None = None) -> list[list[int]]:
+        """Greedy decodes of a stack of same-length latents [B, L, d], one per row."""
         return md.greedy_generate(latents, self.params, self.config,
                                   max_len or self.config.max_len,
                                   start_id=self.vocab.START, end_id=self.vocab.END)
 
-    def decode_words(self, latents: np.ndarray, max_len: int | None = None) -> list[str]:
-        return [self.vocab.word_of(i) for i in self.decode_ids(latents, max_len)]
+    def decode_words(self, latents: np.ndarray, max_len: int | None = None) -> list[list[str]]:
+        return [[self.vocab.word_of(i) for i in row] for row in self.decode_ids(latents, max_len)]
 
-    def autoencode_ids(self, ids) -> list[int]:
-        """Greedy reconstruction of one id sequence from its quantized latents."""
-        return self.decode_ids(self.quantize_ids(ids)[1], max_len=len(ids) + 2)
+    def autoencode_ids(self, ids: list[np.ndarray]) -> list[list[int]]:
+        """Greedy reconstructions of id sequences from their quantized latents, in
+        input order; each length is decoded as one stack of per-sentence latents."""
+        decoded = [row for rows in length_batches(ids)
+                   for row in self.decode_ids(np.stack([self.quantize_ids(r)[1] for r in rows]),
+                                              max_len=rows.shape[1] + 2)]
+        # length_batches yields each length's rows in input order, shortest length first
+        order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+        return [row for _, row in sorted(zip(order, decoded))]
 
     def wmd_embeddings(self, words: list[str]) -> np.ndarray:
         """Quantized latents of a word sequence; empty sequences fall back to
@@ -133,7 +145,7 @@ def warmup_codebook(ids: list[np.ndarray], params: md.ModelParams, config: md.Mo
 
 def exact_match_rate(bundle: ModelBundle, ids: list[np.ndarray]) -> float:
     """Fraction of sentences greedy decoding reproduces token-for-token."""
-    return sum(bundle.autoencode_ids(row) == list(row) for row in ids) / len(ids)
+    return sum(got == list(row) for got, row in zip(bundle.autoencode_ids(ids), ids)) / len(ids)
 
 
 def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.ModelConfig,

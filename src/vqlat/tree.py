@@ -229,14 +229,13 @@ def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
 
     Each unsatisfied constraint sets the pooled dimension just inside the
     required side of its threshold; the pooled delta is broadcast onto every
-    token row, re-quantized, and decoded.  Returns one decoded sentence per
-    edit, cumulative; a sentence already satisfying the whole path yields
-    only its original decoding.
+    token row and re-quantized, and all edits are decoded in one ``decode_fn``
+    call.  Returns one decoded sentence per edit, cumulative; a sentence
+    already satisfying the whole path yields only its original decoding.
     """
     rows = np.asarray(sentence_rows, dtype=np.float64).copy()
     pooled = rows.mean(axis=0)
-    outputs = []
-    edited = False
+    moved = []
     for constraint in path.steps:
         eps = _margin_for(margin, constraint.dim)
         if eps <= 0:
@@ -253,13 +252,9 @@ def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
         delta = target - value
         rows[:, constraint.dim] += delta
         pooled[constraint.dim] = target
-        _, quantized = quantize_kmeans(rows.astype(np.float32), codebook)
-        outputs.append(decode_fn(quantized))
-        edited = True
-    if not edited:
-        _, quantized = quantize_kmeans(rows.astype(np.float32), codebook)
-        outputs.append(decode_fn(quantized))
-    return outputs
+        moved.append(rows.astype(np.float32))
+    quantized = [quantize_kmeans(m, codebook)[1] for m in moved or [rows.astype(np.float32)]]
+    return decode_fn(np.stack(quantized))
 
 
 def cross_region_consistency(decoded_sentences: list, extractor, target) -> float:

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from vqlat import model as md
 from vqlat.autodiff import Tensor
 
 
@@ -156,3 +157,19 @@ def predict_tree_bruteforce(node: OracleTreeNode, point) -> object:
     while node.label is None:
         node = node.left if point[node.dim] <= node.threshold else node.right
     return node.label
+
+
+def greedy_generate_one(latents: np.ndarray, params, config, max_len: int,
+                        start_id: int = 1, end_id: int = 2) -> list[int]:
+    """Greedy decoding of one latent sequence [L, d], re-decoding the whole prefix
+    for every token.  It shares ``decode_batch`` with the library, so what it
+    checks is the batched loop's stepping, stopping and cutting."""
+    generated: list[int] = []
+    for _ in range(max_len):
+        prefix = np.asarray([[start_id] + generated], dtype=np.int64)
+        logits = md.decode_batch(Tensor(np.asarray(latents)[None]), prefix, params, config)
+        next_id = int(np.argmax(logits.data[0, -1]))
+        if next_id == end_id:
+            break
+        generated.append(next_id)
+    return generated

@@ -117,6 +117,10 @@ BAD_RUN_CONFIGS = [
     ("gumbel_scheme", lambda c: {**c, "quantizer": {"scheme": "gumbel"}}),
     ("ema_off", lambda c: {**c, "quantizer": {"use_ema": False}}),
     ("non_finite_loss", lambda c: {**c, "schedule": {**c["schedule"], "lr": 1e9}}),
+    ("zero_batch_size", lambda c: {**c, "schedule": {**c["schedule"], "batch_size": 0}}),
+    ("negative_batch_size", lambda c: {**c, "schedule": {**c["schedule"], "batch_size": -2}}),
+    ("zero_check_every", lambda c: {**c, "schedule": {**c["schedule"], "check_every": 0,
+                                                      "target_exact_match": 0.5}}),
 ]
 
 
@@ -277,6 +281,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["interpolate", "--checkpoint", tiny_ckpt["ckpt"],
                      "--corpus", tiny_ckpt["corpus"], "--random", count,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pair", [("0", "999"), ("-1", "0")])
+    def test_interpolate_pair_outside_corpus_is_three(self, tiny_ckpt, tmp_path, capsys, pair):
+        out = tmp_path / "out"
+        assert main(["interpolate", "--checkpoint", tiny_ckpt["ckpt"],
+                     "--corpus", tiny_ckpt["corpus"], "--source", pair[0], "--target", pair[1],
                      "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

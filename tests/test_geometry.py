@@ -20,10 +20,18 @@ def make_codebook(entries):
 
 
 def index_decode(codebook):
-    """Stand-in decoder: a sentence is its sequence of entry indices."""
+    """Stand-in decoder: each sentence of the stack is its sequence of entry indices."""
     def decode(latents):
-        idx, _ = quantize_kmeans(np.asarray(latents, dtype=np.float32), codebook)
-        return [int(i) for i in idx]
+        return [[int(i) for i in quantize_kmeans(rows, codebook)[0]]
+                for rows in np.asarray(latents, dtype=np.float32)]
+    return decode
+
+
+def capture_decode(captured):
+    """Stand-in decoder that records every latent sequence of the stack it gets."""
+    def decode(latents):
+        captured.extend(np.asarray(latents))
+        return [None] * len(latents)
     return decode
 
 
@@ -205,13 +213,14 @@ class TestTraversePosition:
         cb, decode = toy
         latents = cb.entries[[1, 4]].copy()
         variants = geo.traverse_position(latents, 0, cb, 1, decode)
-        assert variants == [decode(latents)]
+        assert variants == decode(latents[None])
 
     def test_variants_change_only_requested_row(self, toy):
         cb, _ = toy
         captured = []
         latents = cb.entries[[1, 4, 2]].copy()
-        geo.traverse_position(latents, 1, cb, 4, captured.append)
+        geo.traverse_position(latents, 1, cb, 4, capture_decode(captured))
+        assert len(captured) == 4
         for variant in captured:
             np.testing.assert_array_equal(variant[0], latents[0])
             np.testing.assert_array_equal(variant[2], latents[2])
@@ -220,7 +229,7 @@ class TestTraversePosition:
         cb, _ = toy
         captured = []
         latents = cb.entries[[0, 2]].copy()
-        geo.traverse_position(latents, 1, cb, cb.size, captured.append)
+        geo.traverse_position(latents, 1, cb, cb.size, capture_decode(captured))
         dists = [np.linalg.norm(v[1] - latents[1]) for v in captured]
         assert dists == sorted(dists)
         assert dists[0] == 0.0
@@ -242,7 +251,7 @@ class TestLatentArithmetic:
         a = cb.entries[[2, 5]].copy()
         result = geo.latent_arithmetic_add(a, np.zeros_like(a), cb, decode)
         np.testing.assert_array_equal(result.quantized, a)
-        assert result.decoded == decode(a)
+        assert result.decoded == decode(a[None])[0]
 
     def test_commutative(self, toy):
         cb, decode = toy
@@ -301,7 +310,8 @@ class TestDisentanglementStats:
 
 
 def fingerprint_decode(latents):
-    return [tuple(np.round(row, 5)) for row in np.asarray(latents)]
+    """Stand-in decoder: each sentence of the stack is its rounded latent rows."""
+    return [[tuple(np.round(row, 5)) for row in rows] for rows in np.asarray(latents)]
 
 
 class TestSubstitution:
@@ -320,18 +330,18 @@ class TestSubstitution:
         p1, p2 = premises
         out = geo.substitute_and_decode(p1, p2, "arg_sub", fingerprint_decode)
         expected = np.concatenate([p2.latents[:1], p1.latents[1:2], p2.latents[2:]])
-        assert out == fingerprint_decode(expected)
+        assert out == fingerprint_decode(expected[None])[0]
 
     def test_arg_sub_identical_premises_unchanged(self, premises):
         p1, _ = premises
         out = geo.substitute_and_decode(p1, p1, "arg_sub", fingerprint_decode)
-        assert out == fingerprint_decode(p1.latents)
+        assert out == fingerprint_decode(p1.latents[None])[0]
 
     def test_rows_outside_span_untouched(self, premises):
         p1, p2 = premises
         captured = []
-        geo.substitute_and_decode(p1, p2, "arg_sub", captured.append)
-        hybrid = captured[0]
+        geo.substitute_and_decode(p1, p2, "arg_sub", capture_decode(captured))
+        [hybrid] = captured
         np.testing.assert_array_equal(hybrid[0], p2.latents[0])
         np.testing.assert_array_equal(hybrid[2:], p2.latents[2:])
 
@@ -345,7 +355,7 @@ class TestSubstitution:
                                  rng.standard_normal((4, 4)).astype(np.float32))
         out = geo.substitute_and_decode(p1, p2, "verb_sub", fingerprint_decode)
         expected = np.concatenate([p2.latents[:3], p1.latents[2:3]])
-        assert out == fingerprint_decode(expected)
+        assert out == fingerprint_decode(expected[None])[0]
 
     def test_no_shared_span_raises(self):
         rng = np.random.default_rng(10)
@@ -368,7 +378,7 @@ class TestSubstitution:
                                  rng.standard_normal((4, 4)).astype(np.float32))
         out = geo.substitute_and_decode(p1, p2, "further_spec", fingerprint_decode)
         expected = np.concatenate([p2.latents, p1.latents[4:6]])
-        assert out == fingerprint_decode(expected)
+        assert out == fingerprint_decode(expected[None])[0]
 
     def test_conjunction_joins_differing_spans(self):
         rng = np.random.default_rng(12)
@@ -382,7 +392,7 @@ class TestSubstitution:
         out = geo.substitute_and_decode(p1, p2, "conjunction", fingerprint_decode,
                                         and_latent=and_latent)
         expected = np.concatenate([p2.latents, and_latent[None, :], p1.latents[3:4]])
-        assert out == fingerprint_decode(expected)
+        assert out == fingerprint_decode(expected[None])[0]
 
     def test_conjunction_requires_connective(self, premises):
         p1, p2 = premises

@@ -13,7 +13,7 @@ class TestTraversalLocality:
         bundle = inference_fixture["bundle"]
         shark = ["a", "shark", "is", "a", "kind", "of", "fish"]
         _, rows = bundle.quantize_words(shark)
-        original = bundle.decode_words(rows)
+        [original] = bundle.decode_words(rows[None])
         variants = geo.traverse_position(rows, 0, bundle.codebook, 10, bundle.decode_words)
         local = sum(all(abs(p - 0) <= 2 for p in differing_positions(v, original))
                     for v in variants)

@@ -8,7 +8,7 @@ from vqlat import model as md
 from vqlat.autodiff import Tensor
 from vqlat.errors import ContractError, InputError, ShapeError
 
-from tests.oracles import finite_difference, relative_error
+from tests.oracles import finite_difference, greedy_generate_one, relative_error
 
 
 @pytest.fixture(scope="module")
@@ -79,38 +79,41 @@ class TestDecode:
             t.data[...] = 0.0
         bias = rng.standard_normal(config.vocab_size).astype(np.float32)
         params["out.b"].data[...] = bias
-        latents = np.zeros((4, config.d_model), dtype=np.float32)
-        logits = md.decode(latents, [1, 5, 6], params, config)
-        np.testing.assert_allclose(logits.data, np.broadcast_to(bias, (3, config.vocab_size)),
+        latents = Tensor(np.zeros((1, 4, config.d_model), dtype=np.float32))
+        logits = md.decode_batch(latents, np.array([[1, 5, 6]]), params, config)
+        np.testing.assert_allclose(logits.data, np.broadcast_to(bias, (1, 3, config.vocab_size)),
                                    atol=1e-6)
 
     def test_latent_perturbation_moves_logits(self, small_setup):
         config, params = small_setup
         rng = np.random.default_rng(2)
-        latents = rng.standard_normal((5, config.d_model)).astype(np.float32)
-        base = md.decode(latents, [1, 4, 7], params, config).data
+        latents = rng.standard_normal((1, 5, config.d_model)).astype(np.float32)
+        prefix = np.array([[1, 4, 7]])
+        base = md.decode_batch(Tensor(latents), prefix, params, config).data
         bumped = latents.copy()
-        bumped[2] += 0.5
-        moved = md.decode(bumped, [1, 4, 7], params, config).data
+        bumped[0, 2] += 0.5
+        moved = md.decode_batch(Tensor(bumped), prefix, params, config).data
         assert np.abs(moved - base).max() > 0
 
     def test_latent_width_mismatch(self, small_setup):
         config, params = small_setup
         with pytest.raises(ShapeError):
-            md.decode(np.zeros((3, config.d_model + 1)), [1, 2], params, config)
+            md.decode_batch(Tensor(np.zeros((1, 3, config.d_model + 1))), np.array([[1, 2]]),
+                            params, config)
 
     def test_reconstruction_gradient_wrt_latents_matches_fd(self):
         config = md.ModelConfig(vocab_size=12, d_model=8, n_heads=2,
                                 n_layers_enc=1, n_layers_dec=1, max_len=8)
         rng = np.random.default_rng(3)
         params = md.init_params(config, rng, dtype=np.float64, init_scale=0.3)
-        latents = Tensor(rng.standard_normal((4, 8)), requires_grad=True, dtype=np.float64)
-        prefix = [1, 5, 6, 7]
+        latents = Tensor(rng.standard_normal((1, 4, 8)), requires_grad=True, dtype=np.float64)
+        prefix = np.array([[1, 5, 6, 7]])
         targets = np.array([5, 6, 7, 2])
 
         def forward():
-            logits = md.decode(latents, prefix, params, config)
-            return ad.cross_entropy_with_logits(logits, targets)
+            logits = md.decode_batch(latents, prefix, params, config)
+            return ad.cross_entropy_with_logits(ad.reshape(logits, (4, config.vocab_size)),
+                                                targets)
 
         ad.backward(forward())
         assert np.abs(latents.grad).max() > 0
@@ -120,10 +123,10 @@ class TestDecode:
     def test_causal_mask_blocks_future_targets(self, small_setup):
         config, params = small_setup
         rng = np.random.default_rng(4)
-        latents = rng.standard_normal((4, config.d_model)).astype(np.float32)
-        a = md.decode(latents, [1, 5, 6, 7], params, config).data
-        b = md.decode(latents, [1, 5, 9, 9], params, config).data
-        np.testing.assert_allclose(a[:2], b[:2], atol=1e-6)
+        latents = Tensor(rng.standard_normal((1, 4, config.d_model)).astype(np.float32))
+        a = md.decode_batch(latents, np.array([[1, 5, 6, 7]]), params, config).data
+        b = md.decode_batch(latents, np.array([[1, 5, 9, 9]]), params, config).data
+        np.testing.assert_allclose(a[:, :2], b[:, :2], atol=1e-6)
 
 
 class TestGreedyGenerate:
@@ -131,22 +134,34 @@ class TestGreedyGenerate:
         config, params = small_setup
         rng = np.random.default_rng(5)
         latents = rng.standard_normal((3, config.d_model)).astype(np.float32)
-        out = md.greedy_generate(latents, params, config, max_len=1)
+        [out] = md.greedy_generate(latents[None], params, config, max_len=1)
         assert len(out) <= 1
 
     def test_deterministic(self, small_setup):
         config, params = small_setup
         rng = np.random.default_rng(6)
         latents = rng.standard_normal((3, config.d_model)).astype(np.float32)
-        a = md.greedy_generate(latents, params, config, max_len=8)
-        b = md.greedy_generate(latents, params, config, max_len=8)
+        a = md.greedy_generate(latents[None], params, config, max_len=8)
+        b = md.greedy_generate(latents[None], params, config, max_len=8)
         assert a == b
 
     def test_never_exceeds_max_len(self, small_setup):
         config, params = small_setup
         rng = np.random.default_rng(7)
         latents = rng.standard_normal((2, config.d_model)).astype(np.float32)
-        assert len(md.greedy_generate(latents, params, config, max_len=5)) <= 5
+        [out] = md.greedy_generate(latents[None], params, config, max_len=5)
+        assert len(out) <= 5
+
+    @pytest.mark.parametrize("max_len", [1, 9])
+    def test_stack_equals_one_sequence_oracle(self, max_len):
+        # a small vocabulary and large weights make rows stop at different steps
+        config = md.ModelConfig(vocab_size=6, d_model=16, n_heads=2,
+                                n_layers_enc=1, n_layers_dec=2, max_len=12)
+        params = md.init_params(config, np.random.default_rng(11), init_scale=0.5)
+        latents = np.random.default_rng(12).standard_normal((24, 3, 16)).astype(np.float32)
+        want = [greedy_generate_one(rows, params, config, max_len) for rows in latents]
+        assert len({len(w) for w in want}) >= min(3, max_len + 1)  # rows stop at different steps
+        assert md.greedy_generate(latents, params, config, max_len) == want
 
 
 class TestCheckpointFormat:

@@ -24,6 +24,8 @@ from vqlat.training import (
     train_model,
 )
 
+from tests.oracles import greedy_generate_one
+
 
 def small_corpus(n=20, seed=5):
     return [s.tokens for s in cg.generate_sentences(seed, n)]
@@ -121,13 +123,23 @@ class TestMemorization:
         assert token_accuracy(bundle, memorization_fixture["tokens"]) >= 0.99
         for words in memorization_fixture["tokens"]:
             _, quantized = bundle.quantize_words(words)
-            assert bundle.decode_words(quantized, max_len=len(words) + 2) == words
+            assert bundle.decode_words(quantized[None], max_len=len(words) + 2) == [words]
+
+    def test_batched_decode_equals_one_sequence_oracle(self, memorization_fixture):
+        bundle = memorization_fixture["bundle"]
+        ids = sentences_to_ids(memorization_fixture["tokens"], bundle.vocab)
+        lengths = [len(row) for row in ids]
+        assert len(set(lengths)) > 1 and lengths != sorted(lengths)  # input order is restored
+        want = [greedy_generate_one(bundle.quantize_ids(row)[1], bundle.params, bundle.config,
+                                    len(row) + 2, bundle.vocab.START, bundle.vocab.END)
+                for row in ids]
+        assert bundle.autoencode_ids(ids) == want
 
     def test_deterministic_generation(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
         words = memorization_fixture["tokens"][0]
         _, quantized = bundle.quantize_words(words)
-        assert bundle.decode_words(quantized) == bundle.decode_words(quantized)
+        assert bundle.decode_words(quantized[None]) == bundle.decode_words(quantized[None])
 
 
 class TestSharedPasses:
@@ -169,7 +181,7 @@ class TestBundlePersistence:
         idx_a, q_a = bundle.quantize_words(words)
         idx_b, q_b = loaded.quantize_words(words)
         np.testing.assert_array_equal(idx_a, idx_b)
-        assert loaded.decode_words(q_b) == bundle.decode_words(q_a)
+        assert loaded.decode_words(q_b[None]) == bundle.decode_words(q_a[None])
 
     def test_codebook_tensors_present(self, tmp_path, memorization_fixture):
         path = tmp_path / "model.ckpt"

@@ -181,8 +181,8 @@ class TestGuidedMove:
         codebook = Codebook(entries)
 
         def decode(quantized):
-            idx, _ = quantize_kmeans(np.asarray(quantized, dtype=np.float32), codebook)
-            return [int(i) for i in idx]
+            return [[int(i) for i in quantize_kmeans(rows, codebook)[0]]
+                    for rows in np.asarray(quantized, dtype=np.float32)]
 
         return codebook, decode
 
@@ -191,7 +191,7 @@ class TestGuidedMove:
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
         rows = np.array([[0.9, 0.0], [0.9, 1.0]])
         outputs = tc.guided_move(rows, path, 0.05, codebook, decode)
-        assert outputs == [decode(codebook.entries[[2, 3]])]
+        assert outputs == decode(codebook.entries[[2, 3]][None])
 
     def test_edit_crosses_threshold_and_flips_decoding(self, setup):
         codebook, decode = setup
@@ -206,14 +206,17 @@ class TestGuidedMove:
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">"),
                             tc.PathConstraint(1, 0.4, "<=")], {}, 1)
         rows = np.array([[0.0, 0.9], [0.0, 0.9]])
-        pooled_history = []
+        calls = []
 
         def capture(quantized):
-            pooled_history.append(np.asarray(quantized).mean(axis=0))
+            calls.append([np.asarray(q) for q in quantized])
             return decode(quantized)
 
         outputs = tc.guided_move(rows, path, 0.1, codebook, capture)
         assert len(outputs) == 2
+        [edits] = calls  # every edit rides in one decode call
+        # quantized pooled rows: dim 0 crosses first, then dim 1
+        assert [e.mean(axis=0).tolist() for e in edits] == [[1.0, 1.0], [1.0, 0.0]]
 
     def test_final_pooled_latent_classified_as_target(self, setup):
         codebook, decode = setup
