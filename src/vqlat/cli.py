@@ -105,15 +105,18 @@ def _load_tokens(corpus_path: str) -> list[list[str]]:
     with open(corpus_path, encoding="utf-8") as fh:
         first = fh.readline()
     if "\t" in first or "/" not in first:
-        return [e.tokens for e in cg.load_math_corpus(corpus_path)]
-    return [s.tokens for s in cg.load_corpus(corpus_path)]
+        tokens = [e.tokens for e in cg.load_math_corpus(corpus_path)]
+    else:
+        tokens = [s.tokens for s in cg.load_corpus(corpus_path)]
+    if not tokens:
+        raise ContractError(f"corpus {corpus_path!r} holds no sentences")
+    return tokens
 
 
 # -- subcommands -------------------------------------------------------------------
 
 
 def cmd_gen_corpus(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     if args.kind == "grammar":
         sentences = cg.generate_sentences(args.seed, args.count)
         cg.save_corpus(os.path.join(args.out, "sentences.txt"), sentences)
@@ -144,7 +147,6 @@ def cmd_train(args) -> int:
     log: list[dict] = []
     bundle = train_model(tokens, vocab, model_config, qconfig, schedule, log)
     out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     save_bundle(os.path.join(out_dir, "checkpoint.ckpt"), bundle)
     lines = ["epoch,ce,commit,token_acc"]
     lines += [f"{row['epoch']},{fmt(row['ce'])},{fmt(row['commit'])},{fmt(row['token_acc'])}"
@@ -175,7 +177,6 @@ def cmd_reconstruct(args) -> int:
     tokens = _load_tokens(args.corpus)
     report = _reconstruct_report(bundle, tokens)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         atomic_write_text(os.path.join(args.out, "reconstruct.txt"), report)
     for line in report.splitlines()[:7]:  # summary head; per-sentence lines stay in the file
         print(line)
@@ -193,11 +194,7 @@ def _interpolation_pairs(args, count: int) -> list[tuple[int, int]]:
     if args.random < 1:
         raise ContractError(f"--random must be at least 1, got {args.random}")
     rng = np.random.default_rng(args.seed)
-    pairs = []
-    for _ in range(args.random):
-        i, j = int(rng.integers(count)), int(rng.integers(count))
-        pairs.append((i, j))
-    return pairs
+    return [(int(rng.integers(count)), int(rng.integers(count))) for _ in range(args.random)]
 
 
 def cmd_interpolate(args) -> int:
@@ -206,16 +203,13 @@ def cmd_interpolate(args) -> int:
     pairs = _interpolation_pairs(args, len(tokens))
     pad = bundle.end_token_latent()
 
-    paths, scores = [], []
-    for i, j in pairs:
-        _, src = bundle.quantize_words(tokens[i])
-        _, tgt = bundle.quantize_words(tokens[j])
-        path = geo.interpolate(src, tgt, bundle.codebook, bundle.decode_words,
-                               pad_latent=pad)
-        paths.append(path)
-        scores.append(geo.interpolation_smoothness(path, bundle.wmd_embeddings))
+    ends = sorted({k for pair in pairs for k in pair})
+    latents = dict(zip(ends, (rows for _, rows in bundle.quantize_ids(
+        sentences_to_ids([tokens[k] for k in ends], bundle.vocab)))))
+    paths = [geo.interpolate(latents[i], latents[j], bundle.codebook, bundle.decode_words,
+                             pad_latent=pad) for i, j in pairs]
+    scores = [geo.interpolation_smoothness(path, bundle.wmd_embeddings) for path in paths]
 
-    os.makedirs(args.out, exist_ok=True)
     for (i, j), path in zip(pairs, paths):
         atomic_write_text(os.path.join(args.out, f"path_{i}_{j}.txt"), geo.dump_path(path))
     report = (f"pairs\t{len(scores)}\n"
@@ -258,17 +252,14 @@ def cmd_arith(args) -> int:
 def cmd_disentangle(args) -> int:
     bundle = load_bundle(args.checkpoint)
     sentences = cg.load_corpus(args.corpus)
-    occurrences = []
-    for s in sentences:
-        indices, _ = bundle.quantize_words(s.tokens)
-        occurrences.append((s.tokens, s.roles, indices))
+    quantized = bundle.quantize_ids(sentences_to_ids([s.tokens for s in sentences], bundle.vocab))
+    occurrences = [(s.tokens, s.roles, indices) for s, (indices, _) in zip(sentences, quantized)]
     stats = geo.disentanglement_stats(occurrences, bundle.codebook)
     lines = ["role_content\tnum_centers\tavg_dis\tmax_dis\tmin_dis"]
     lines += [f"{s.label}\t{s.num_centers}\t{fmt(s.avg_dis)}\t{fmt(s.max_dis)}\t{fmt(s.min_dis)}"
               for s in stats]
     report = "\n".join(lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         atomic_write_text(os.path.join(args.out, "disentangle.txt"), report)
     sys.stdout.write(report)
     return 0
@@ -298,13 +289,11 @@ def cmd_tree(args) -> int:
     if not group_a or not group_b:
         raise ContractError(f"regions {label_a!r}/{label_b!r} not both present in corpus")
 
-    samples = []
-    rows_cache = []
-    for sentence, label in [(s, label_a) for s in group_a] + [(s, label_b) for s in group_b]:
-        rows = bundle.encode_words(sentence.tokens)
-        rows_cache.append(rows)
-        samples.append(tc.PooledLatent(rows.mean(axis=0), label))
-    pooled, labels = tc.split_pooled(samples)
+    rows_cache = bundle.encode_ids(sentences_to_ids([s.tokens for s in group_a + group_b],
+                                                    bundle.vocab))
+    pooled, labels = tc.split_pooled([
+        tc.PooledLatent(rows.mean(axis=0), label_a if n < len(group_a) else label_b)
+        for n, rows in enumerate(rows_cache)])
 
     train_idx = list(range(0, len(labels), 2))
     held_idx = list(range(1, len(labels), 2))
@@ -331,7 +320,6 @@ def cmd_tree(args) -> int:
             move_lines += [f"  -> {' '.join(step)}" for step in outputs]
     consistency = tc.cross_region_consistency(finals, extractor, label_b)
 
-    os.makedirs(args.out, exist_ok=True)
     tc.save_tree(os.path.join(args.out, "tree.json"), tree)
     report_lines = [f"region\t{args.region}",
                     f"train_accuracy\t{fmt(tree.training_accuracy)}",
@@ -357,6 +345,8 @@ def _load_premises(path: str) -> list[tuple[cg.AnnotatedSentence, cg.AnnotatedSe
             if not sep:
                 raise ContractError("premises file lines must be 'P1 ||| P2' in token/ROLE form")
             pairs.append((cg.parse_annotated(left.strip()), cg.parse_annotated(right.strip())))
+    if not pairs:
+        raise ContractError(f"premises file {path!r} holds no 'P1 ||| P2' lines")
     return pairs
 
 
@@ -366,6 +356,8 @@ def cmd_infer(args) -> int:
         pairs = _load_premises(args.premises)
         instances = [(p1, p2, cg.derive_conclusion(p1, p2, args.op)) for p1, p2 in pairs]
     else:
+        if args.generate < 1:
+            raise ContractError(f"--generate must be at least 1, got {args.generate}")
         generated = cg.generate_inference_instances(args.seed, args.generate, ops=(args.op,))
         instances = [(i.premise1, i.premise2, i.conclusion.tokens) for i in generated]
 
@@ -375,24 +367,25 @@ def cmd_infer(args) -> int:
         and_latent = bundle.connective_latent(carrier) if carrier else \
             bundle.connective_latent(["a", "shark", "can", "swim", "and", "fly"])
 
+    premises = [p for p1, p2, _ in instances for p in (p1, p2)]
+    quantized = bundle.quantize_ids(sentences_to_ids([p.tokens for p in premises], bundle.vocab))
+    latents = [geo.SentenceLatents(p.tokens, p.roles, rows)
+               for p, (_, rows) in zip(premises, quantized)]
+
     lines = []
     hits = 0
     scored = 0
-    for n, (p1, p2, want) in enumerate(instances):
-        s1 = geo.SentenceLatents(p1.tokens, p1.roles, bundle.quantize_words(p1.tokens)[1])
-        s2 = geo.SentenceLatents(p2.tokens, p2.roles, bundle.quantize_words(p2.tokens)[1])
+    for n, ((_, _, want), s1, s2) in enumerate(zip(instances, latents[::2], latents[1::2])):
         got = geo.substitute_and_decode(s1, s2, args.op, bundle.decode_words,
                                         and_latent=and_latent)
-        if want is not None:
-            scored += 1
-            hits += got == list(want)
-        flag = "OK" if want is not None and got == list(want) else "MISS"
-        lines.append(f"{n}\t{flag}\t{' '.join(got)}")
+        hit = want is not None and got == list(want)
+        scored += want is not None
+        hits += hit
+        lines.append(f"{n}\t{'OK' if hit else 'MISS'}\t{' '.join(got)}")
     rate = hits / scored if scored else 0.0
     report = f"op\t{args.op}\ninstances\t{len(instances)}\nexact_match\t{fmt(rate)}\n" \
              + "\n".join(lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         atomic_write_text(os.path.join(args.out, "infer.txt"), report)
     print(f"op {args.op}: exact_match {fmt(rate)} over {scored} scored instances")
     return 0

@@ -22,7 +22,8 @@ from .quantizer import Codebook, pairwise_sq_dists, quantize_kmeans
 
 # Decodes a stack of same-length latent sequences [B, L, d]: one decode per row.
 DecodeFn = Callable[[np.ndarray], list]
-EmbedFn = Callable[[list], np.ndarray]
+# Embeds a list of decoded sentences: one [L, d] array per sentence.
+EmbedFn = Callable[[list], list]
 
 
 # -- interpolation --------------------------------------------------------------
@@ -158,7 +159,7 @@ def interpolation_smoothness(path: InterpolationPath, embed_fn: EmbedFn) -> floa
             unique.append(list(step.decoded))
     if len(unique) < 2:
         return 1.0
-    embeddings = [embed_fn(sentence) for sentence in unique]
+    embeddings = embed_fn(unique)
     denom = sum(wmd(embeddings[i], embeddings[i + 1]).cost for i in range(len(embeddings) - 1))
     if denom <= 1e-12:
         return 1.0

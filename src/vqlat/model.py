@@ -205,16 +205,6 @@ def encode_batch(token_ids: np.ndarray, params: ModelParams, config: ModelConfig
     return _layer_norm(params, "enc.ln_out", x)
 
 
-def encode(tokens, params: ModelParams, config: ModelConfig,
-           training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """One continuous embedding per input token: [L, d]."""
-    ids = np.asarray(list(tokens), dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"encode: expected a flat id sequence, got shape {ids.shape}")
-    out = encode_batch(ids[None, :], params, config, training=training, rng=rng)
-    return ad.reshape(out, (ids.shape[0], config.d_model))
-
-
 def causal_mask(length: int) -> np.ndarray:
     mask = np.zeros((1, 1, length, length), dtype=np.float32)
     mask[..., np.triu_indices(length, k=1)[0], np.triu_indices(length, k=1)[1]] = NEG_INF

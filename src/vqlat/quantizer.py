@@ -95,21 +95,22 @@ class Codebook:
         return cls(data[chosen].astype(np.float32), decay=decay, seed=seed)
 
 
-def pairwise_sq_dists(vectors: np.ndarray, entries: np.ndarray,
-                      chunk: int = 1024) -> np.ndarray:
+def pairwise_sq_dists(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances [N, K] via the explicit difference form.
 
     Computed exactly as a per-pair sum of squared differences so results are
-    bit-identical to a row-by-row scan.  This is the package's one distance
-    kernel: quantization, interpolation, traversal and transport costs all
-    read it, in the dtype of their inputs.
+    bit-identical to a row-by-row scan.  Rows go through in blocks of
+    ``max(1, 2**17 // (K*d))``, so each [rows, K, d] difference block holds
+    about 2**17 values (0.5 MB in float32) whatever N is.  This is the
+    package's one distance kernel: quantization, interpolation, traversal and
+    transport costs all read it, in the dtype of their inputs.
     """
     vectors = np.asarray(vectors)
     out = np.empty((vectors.shape[0], entries.shape[0]), dtype=np.result_type(vectors, entries))
-    for start in range(0, vectors.shape[0], chunk):
-        block = vectors[start:start + chunk]
-        diff = block[:, None, :] - entries[None, :, :]
-        out[start:start + chunk] = np.sum(diff * diff, axis=-1)
+    step = max(1, 2**17 // max(1, entries.size))
+    for start in range(0, vectors.shape[0], step):
+        diff = vectors[start:start + step, None, :] - entries[None, :, :]
+        out[start:start + step] = np.sum(diff * diff, axis=-1)
     return out
 
 

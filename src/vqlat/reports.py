@@ -16,9 +16,11 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write via a sibling temp file and rename, so partial output never lands."""
+    """Write via a sibling temp file and rename, so partial output never lands;
+    missing parent directories are created first."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:

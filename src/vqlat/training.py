@@ -48,19 +48,27 @@ class ModelBundle:
     qconfig: QuantizerConfig
     vocab: Vocabulary
 
-    def word_ids(self, words: list[str]) -> np.ndarray:
-        return np.asarray([self.vocab.id_of(w) for w in words], dtype=np.int64)
+    def encode_ids(self, ids: list[np.ndarray]) -> list[np.ndarray]:
+        """Continuous (pre-quantization) latent rows [L, d] of each id sequence, in
+        input order; each length is encoded as one stack."""
+        return by_length(lambda rows: md.encode_batch(rows, self.params, self.config).data, ids)
 
     def encode_words(self, words: list[str]) -> np.ndarray:
         """Continuous (pre-quantization) latent rows for a word sequence."""
-        return md.encode(self.word_ids(words), self.params, self.config).data
+        return self.encode_ids(sentences_to_ids([words], self.vocab))[0]
 
-    def quantize_ids(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-entry indices and quantized latent rows of one id sequence."""
-        return quantize_kmeans(md.encode(ids, self.params, self.config).data, self.codebook)
+    def quantize_ids(self, ids: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Nearest-entry indices and quantized latent rows of each id sequence, in
+        input order, from one quantizer call over every encoded row."""
+        encoded = self.encode_ids(ids)
+        if not encoded:
+            return []
+        indices, quantized = quantize_kmeans(np.concatenate(encoded), self.codebook)
+        cuts = np.cumsum([len(rows) for rows in encoded])[:-1]
+        return list(zip(np.split(indices, cuts), np.split(quantized, cuts)))
 
     def quantize_words(self, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        return self.quantize_ids(self.word_ids(words))
+        return self.quantize_ids(sentences_to_ids([words], self.vocab))[0]
 
     def decode_ids(self, latents: np.ndarray, max_len: int | None = None) -> list[list[int]]:
         """Greedy decodes of a stack of same-length latents [B, L, d], one per row."""
@@ -73,22 +81,23 @@ class ModelBundle:
 
     def autoencode_ids(self, ids: list[np.ndarray]) -> list[list[int]]:
         """Greedy reconstructions of id sequences from their quantized latents, in
-        input order; each length is decoded as one stack of per-sentence latents."""
-        decoded = [row for rows in length_batches(ids)
-                   for row in self.decode_ids(np.stack([self.quantize_ids(r)[1] for r in rows]),
-                                              max_len=rows.shape[1] + 2)]
-        # length_batches yields each length's rows in input order, shortest length first
-        order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
-        return [row for _, row in sorted(zip(order, decoded))]
+        input order; each length is quantized and decoded as one stack."""
+        def autoencode(rows: np.ndarray) -> list[list[int]]:
+            encoded = md.encode_batch(rows, self.params, self.config).data
+            _, quantized = quantize_kmeans(encoded.reshape(-1, self.config.d_model), self.codebook)
+            return self.decode_ids(quantized.reshape(encoded.shape), max_len=rows.shape[1] + 2)
+        return by_length(autoencode, ids)
 
-    def wmd_embeddings(self, words: list[str]) -> np.ndarray:
-        """Quantized latents of a word sequence; empty sequences fall back to
+    def wmd_embeddings(self, sentences: list[list[str]]) -> list[np.ndarray]:
+        """Quantized latents of each word sequence; an empty sequence falls back to
         the end marker's latent so distance comparisons stay total."""
-        return self.quantize_ids([self.vocab.id_of(w) for w in words] or [self.vocab.END])[1]
+        ids = [row if row.size else np.array([self.vocab.END], dtype=np.int64)
+               for row in sentences_to_ids(sentences, self.vocab)]
+        return [rows for _, rows in self.quantize_ids(ids)]
 
     def end_token_latent(self) -> np.ndarray:
         """Codebook entry nearest the end marker's embedding; used as padding."""
-        return self.wmd_embeddings([])[0]
+        return self.wmd_embeddings([[]])[0][0]
 
     def connective_latent(self, sentence_with_and: list[str]) -> np.ndarray:
         """Quantized latent of the first 'and' token in the given sentence."""
@@ -116,6 +125,15 @@ def length_batches(ids: list[np.ndarray], batch_size: int | None = None,
         step = len(order) if batch_size is None else batch_size
         for start in range(0, len(order), step):
             yield np.stack([ids[i] for i in order[start:start + step]])
+
+
+def by_length(fn, ids: list[np.ndarray]) -> list:
+    """``fn`` applied to each length's [B, L] stack from :func:`length_batches`;
+    its B per-row results are returned in input order."""
+    results = [row for rows in length_batches(ids) for row in fn(rows)]
+    # length_batches yields each length's rows in input order, shortest length first
+    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+    return [row for _, row in sorted(zip(order, results), key=lambda pair: pair[0])]
 
 
 def teacher_forced(bundle: ModelBundle, rows: np.ndarray, training: bool = False,

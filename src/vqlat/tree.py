@@ -217,27 +217,21 @@ def default_margins(train_points) -> np.ndarray:
     return np.maximum(0.05 * spread, 1e-3)
 
 
-def _margin_for(margin, dim: int) -> float:
-    if np.isscalar(margin):
-        return float(margin)
-    return float(np.asarray(margin)[dim])
-
-
 def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
                 codebook: Codebook, decode_fn) -> list:
     """Walk the sentence across region boundaries one dimension at a time.
 
     Each unsatisfied constraint sets the pooled dimension just inside the
     required side of its threshold; the pooled delta is broadcast onto every
-    token row and re-quantized, and all edits are decoded in one ``decode_fn``
-    call.  Returns one decoded sentence per edit, cumulative; a sentence
-    already satisfying the whole path yields only its original decoding.
+    token row.  All edits are re-quantized in one call and decoded in one
+    ``decode_fn`` call.  Returns one decoded sentence per edit, cumulative; a
+    sentence already satisfying the whole path yields only its original decoding.
     """
     rows = np.asarray(sentence_rows, dtype=np.float64).copy()
     pooled = rows.mean(axis=0)
     moved = []
     for constraint in path.steps:
-        eps = _margin_for(margin, constraint.dim)
+        eps = float(np.broadcast_to(margin, pooled.shape)[constraint.dim])
         if eps <= 0:
             raise ContractError("margin must be positive")
         value = pooled[constraint.dim]
@@ -253,8 +247,9 @@ def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
         rows[:, constraint.dim] += delta
         pooled[constraint.dim] = target
         moved.append(rows.astype(np.float32))
-    quantized = [quantize_kmeans(m, codebook)[1] for m in moved or [rows.astype(np.float32)]]
-    return decode_fn(np.stack(quantized))
+    moved = moved or [rows.astype(np.float32)]
+    _, quantized = quantize_kmeans(np.concatenate(moved), codebook)
+    return decode_fn(quantized.reshape(len(moved), *rows.shape))
 
 
 def cross_region_consistency(decoded_sentences: list, extractor, target) -> float:

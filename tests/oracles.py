@@ -68,6 +68,15 @@ def nearest_entry_scan(vector: np.ndarray, entries: np.ndarray) -> int:
     return best_idx
 
 
+def sq_dists_scan(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Squared distances [N, K] by the difference form, one row at a time."""
+    out = np.empty((vectors.shape[0], entries.shape[0]), dtype=np.result_type(vectors, entries))
+    for i in range(vectors.shape[0]):
+        diff = vectors[i] - entries
+        out[i] = np.sum(diff * diff, axis=-1)
+    return out
+
+
 def min_permutation_cost(a: np.ndarray, b: np.ndarray) -> float:
     """Exact matching cost between equal-length embedding bags.
 

@@ -285,6 +285,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "interpolate"])
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_corpus_without_sentences_is_three(self, tiny_ckpt, tmp_path, capsys, command, text):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--checkpoint", tiny_ckpt["ckpt"], "--corpus", str(corpus),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--generate", "0"), ("--generate", "-3"),
+                                            ("--premises", "")])
+    def test_infer_without_instances_is_three(self, tiny_ckpt, tmp_path, capsys, flag, value):
+        if flag == "--premises":  # an empty premises file
+            value = str(tmp_path / "premises.txt")
+            (tmp_path / "premises.txt").write_text("")
+        out = tmp_path / "out"
+        assert main(["infer", "--checkpoint", tiny_ckpt["ckpt"], flag, value,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("pair", [("0", "999"), ("-1", "0")])
     def test_interpolate_pair_outside_corpus_is_three(self, tiny_ckpt, tmp_path, capsys, pair):
         out = tmp_path / "out"

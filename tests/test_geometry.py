@@ -165,9 +165,9 @@ class TestWmd:
 
 
 class TestInterpolationSmoothness:
-    def embed(self, sentence):
+    def embed(self, sentences):
         # tokens are integers here; embed each as a 1-d point
-        return np.array([[float(tok)] for tok in sentence])
+        return [np.array([[float(tok)] for tok in sentence]) for sentence in sentences]
 
     def make_path(self, decoded_seqs):
         steps = [geo.PathStep(i * 0.1, np.zeros((1, 1)), np.zeros(1, dtype=int), d)

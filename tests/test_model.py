@@ -29,43 +29,48 @@ class TestConfig:
         assert md.ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def encode_one(ids, params, config):
+    """The encoder on a stack of one id sequence."""
+    return md.encode_batch(np.asarray([ids], dtype=np.int64), params, config)
+
+
 class TestEncode:
     def test_single_token_shape(self, small_setup):
         config, params = small_setup
-        out = md.encode([5], params, config)
-        assert out.shape == (1, config.d_model)
+        out = encode_one([5], params, config)
+        assert out.shape == (1, 1, config.d_model)
 
     def test_eval_mode_deterministic(self, small_setup):
         config, params = small_setup
-        a = md.encode([4, 5, 6], params, config)
-        b = md.encode([4, 5, 6], params, config)
+        a = encode_one([4, 5, 6], params, config)
+        b = encode_one([4, 5, 6], params, config)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_random_params_finite(self):
         config = md.ModelConfig(vocab_size=30, d_model=16, n_heads=4)
         params = md.init_params(config, np.random.default_rng(99))
-        out = md.encode([1, 7, 3, 9, 2], params, config)
+        out = encode_one([1, 7, 3, 9, 2], params, config)
         assert np.isfinite(out.data).all()
 
     def test_out_of_vocab_rejected(self, small_setup):
         config, params = small_setup
         with pytest.raises(InputError):
-            md.encode([25], params, config)
+            encode_one([25], params, config)
 
     def test_empty_rejected(self, small_setup):
         config, params = small_setup
         with pytest.raises(InputError):
-            md.encode([], params, config)
+            encode_one([], params, config)
 
     def test_too_long_rejected(self, small_setup):
         config, params = small_setup
         with pytest.raises(InputError):
-            md.encode(list(range(13)), params, config)
+            encode_one(list(range(13)), params, config)
 
     def test_no_state_mutated(self, small_setup):
         config, params = small_setup
         before = {k: v.data.copy() for k, v in params.tensors.items()}
-        md.encode([3, 2, 1], params, config)
+        encode_one([3, 2, 1], params, config)
         for k, v in params.tensors.items():
             np.testing.assert_array_equal(v.data, before[k])
 

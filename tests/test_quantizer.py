@@ -17,13 +17,14 @@ from vqlat.quantizer import (
     QuantizerConfig,
     ema_update,
     kl_to_uniform_prior,
+    pairwise_sq_dists,
     quantize_gumbel,
     quantize_kmeans,
     straight_through,
     vq_loss,
 )
 
-from tests.oracles import assert_grads_close, nearest_entry_scan
+from tests.oracles import assert_grads_close, nearest_entry_scan, sq_dists_scan
 
 
 def make_codebook(entries, decay=0.99):
@@ -78,6 +79,23 @@ class TestQuantizeKmeans:
     def test_empty_codebook_rejected(self):
         with pytest.raises(ContractError):
             Codebook(np.zeros((0, 3)))
+
+
+class TestPairwiseSqDists:
+    # 512 x 64 entries give 4-row blocks; 2,100 x 64 exceed one block's 2**17
+    # values, so every block holds a single row
+    @pytest.mark.parametrize("k,dim", [(512, 64), (2100, 64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_row_scan(self, k, dim, dtype):
+        rng = np.random.default_rng(k)
+        entries = rng.standard_normal((k, dim)).astype(dtype)
+        block = max(1, 2**17 // (k * dim))
+        for n in sorted({0, 1, block - 1, block, block + 1, 3 * block + 2}):
+            vectors = rng.standard_normal((n, dim)).astype(dtype)
+            got = pairwise_sq_dists(vectors, entries)
+            want = sq_dists_scan(vectors, entries)
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == (n, k) and got.tobytes() == want.tobytes(), n
 
 
 class TestQuantizeGumbel:

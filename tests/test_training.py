@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vqlat import corpus as cg
 from vqlat import model as md
-from vqlat.cli import _reconstruct_report
+from vqlat.cli import _reconstruct_report, main
 from vqlat.errors import ContractError
 from vqlat.model import ModelConfig
 from vqlat.quantizer import QuantizerConfig, quantize_kmeans
@@ -130,7 +130,7 @@ class TestMemorization:
         ids = sentences_to_ids(memorization_fixture["tokens"], bundle.vocab)
         lengths = [len(row) for row in ids]
         assert len(set(lengths)) > 1 and lengths != sorted(lengths)  # input order is restored
-        want = [greedy_generate_one(bundle.quantize_ids(row)[1], bundle.params, bundle.config,
+        want = [greedy_generate_one(bundle.quantize_ids([row])[0][1], bundle.params, bundle.config,
                                     len(row) + 2, bundle.vocab.START, bundle.vocab.END)
                 for row in ids]
         assert bundle.autoencode_ids(ids) == want
@@ -157,6 +157,44 @@ class TestSharedPasses:
                 assert np.array_equal(row_quantized, want_quantized)
                 seen += 1
         assert seen == len(ids)
+
+    @pytest.fixture
+    def shuffled_ids(self, memorization_fixture):
+        ids = sentences_to_ids(memorization_fixture["tokens"], memorization_fixture["bundle"].vocab)
+        ids = ids + [ids[3]]  # one duplicate sentence
+        ids = [ids[i] for i in np.random.default_rng(5).permutation(len(ids))]
+        lengths = [len(row) for row in ids]
+        assert len(set(lengths)) > 1 and lengths != sorted(lengths)
+        return ids
+
+    def test_encode_ids_rows_equal_one_row_encoder(self, memorization_fixture, shuffled_ids):
+        bundle = memorization_fixture["bundle"]
+        got = bundle.encode_ids(shuffled_ids)
+        assert len(got) == len(shuffled_ids)
+        for row, rows in zip(shuffled_ids, got):
+            assert np.array_equal(rows, md.encode_batch(row[None], bundle.params,
+                                                        bundle.config).data[0])
+
+    def test_quantize_ids_equals_per_sentence_quantizer(self, memorization_fixture, shuffled_ids):
+        bundle = memorization_fixture["bundle"]
+        got = bundle.quantize_ids(shuffled_ids)
+        assert len(got) == len(shuffled_ids)
+        for row, (indices, quantized) in zip(shuffled_ids, got):
+            encoded = md.encode_batch(row[None], bundle.params, bundle.config).data[0]
+            want_indices, want_quantized = quantize_kmeans(encoded, bundle.codebook)
+            assert np.array_equal(indices, want_indices)
+            assert np.array_equal(quantized, want_quantized)
+
+    def test_quantize_ids_of_nothing_is_empty(self, memorization_fixture):
+        assert memorization_fixture["bundle"].quantize_ids([]) == []
+
+    def test_disentangle_on_empty_corpus_is_header_only(self, tmp_path, memorization_fixture):
+        save_bundle(tmp_path / "model.ckpt", memorization_fixture["bundle"])
+        (tmp_path / "corpus.txt").write_text("")
+        assert main(["disentangle", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "disentangle.txt").read_text() == \
+            "role_content\tnum_centers\tavg_dis\tmax_dis\tmin_dis\n"
 
     def test_exact_match_rate_equals_reconstruct_report(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
@@ -220,7 +258,8 @@ class TestCorruptCheckpoint:
 class TestBundleHelpers:
     def test_wmd_embeddings_empty_falls_back(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
-        rows = bundle.wmd_embeddings([])
+        assert bundle.wmd_embeddings([]) == []
+        [rows] = bundle.wmd_embeddings([[]])
         assert rows.shape == (1, bundle.config.d_model)
 
     def test_end_token_latent_is_codebook_entry(self, memorization_fixture):
