@@ -215,8 +215,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _node(data, (table,), backward_fn)
 
 
-def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
-    """Softmax cross entropy from raw logits [N, V] against integer targets [N]."""
+def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
+    """Mean softmax cross entropy from raw logits [N, V] against integer targets [N]."""
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy_with_logits: logits must be 2-d, got {logits.shape}")
     t = np.asarray(targets)
@@ -225,21 +225,17 @@ def cross_entropy_with_logits(logits: Tensor, targets, reduction: str = "mean") 
         raise ShapeError(f"cross_entropy_with_logits: targets shape {t.shape} does not match logits rows {n}")
     if t.size and (t.min() < 0 or t.max() >= v):
         raise ContractError("cross_entropy_with_logits: target id out of range")
-    if reduction not in ("mean", "sum"):
-        raise ContractError(f"cross_entropy_with_logits: unknown reduction {reduction!r}")
     m = logits.data.max(axis=1, keepdims=True)
     e = np.exp(logits.data - m)
     z = e.sum(axis=1, keepdims=True)
     log_probs = logits.data - m - np.log(z)
     losses = -log_probs[np.arange(n), t]
-    total = losses.sum()
-    data = np.asarray(total / n if reduction == "mean" else total, dtype=logits.data.dtype)
+    data = np.asarray(losses.sum() / n, dtype=logits.data.dtype)
 
     def backward_fn(g):
         p = e / z
         p[np.arange(n), t] -= 1.0
-        scale = float(g) / n if reduction == "mean" else float(g)
-        return (p * scale,)
+        return (p * (float(g) / n),)
 
     return _node(data, (logits,), backward_fn)
 

@@ -412,7 +412,6 @@ class MathExpression:
     tokens: list[str]
     split_tag: str
     variables: set[str] = field(default_factory=set)
-    depth: int = 0
 
     def __post_init__(self):
         if self.split_tag not in MATH_SPLITS:
@@ -429,7 +428,6 @@ def _sample_expression(rng, variables, n_vars):
     order = rng.permutation(len(variables))[:n_vars]
     tokens: list[str] = []
     used: set[str] = set()
-    depth = 0
     for i, vi in enumerate(order):
         var = variables[int(vi)]
         used.add(var)
@@ -438,13 +436,9 @@ def _sample_expression(rng, variables, n_vars):
         if rng.random() < 0.5:
             fn = MATH_FUNCTIONS[int(rng.integers(len(MATH_FUNCTIONS)))]
             tokens.extend([fn, "(", var, ")"])
-            depth = max(depth, 2)
         else:
             tokens.append(var)
-            depth = max(depth, 1)
-    if n_vars > 1:
-        depth += 1
-    return tokens, used, depth
+    return tokens, used
 
 
 def generate_math(seed: int, count: int, split: str) -> list[MathExpression]:
@@ -463,22 +457,21 @@ def generate_math(seed: int, count: int, split: str) -> list[MathExpression]:
     out = []
     for _ in range(count):
         if split == "EASY":
-            tokens, used, depth = _sample_expression(rng, TRAIN_VARIABLES, 1)
+            tokens, used = _sample_expression(rng, TRAIN_VARIABLES, 1)
         elif split == "LEN":
             n = int(rng.integers(TRAIN_MAX_VARS + 1, TRAIN_MAX_VARS + 4))
-            tokens, used, depth = _sample_expression(rng, TRAIN_VARIABLES, n)
+            tokens, used = _sample_expression(rng, TRAIN_VARIABLES, n)
         elif split == "VAR":
             n = int(rng.integers(TRAIN_MIN_VARS, TRAIN_MAX_VARS + 1))
-            tokens, used, depth = _sample_expression(rng, NOVEL_VARIABLES, n)
+            tokens, used = _sample_expression(rng, NOVEL_VARIABLES, n)
         else:
             n = int(rng.integers(TRAIN_MIN_VARS, TRAIN_MAX_VARS + 1))
-            tokens, used, depth = _sample_expression(rng, TRAIN_VARIABLES, n)
+            tokens, used = _sample_expression(rng, TRAIN_VARIABLES, n)
             if split == "EQ":
                 lhs = TRAIN_VARIABLES[int(rng.integers(len(TRAIN_VARIABLES)))]
                 tokens = [lhs, "="] + tokens
                 used = used | {lhs}
-                depth += 1
-        out.append(MathExpression(tokens, split, used, depth))
+        out.append(MathExpression(tokens, split, used))
     return out
 
 
@@ -590,8 +583,7 @@ def load_math_corpus(path) -> list[MathExpression]:
             text, _, tag = line.rstrip("\n").partition("\t")
             tokens = text.split()
             out.append(MathExpression(tokens, tag or "EVAL",
-                                      {t for t in tokens if t.isalpha() and t not in MATH_FUNCTIONS},
-                                      0))
+                                      {t for t in tokens if t.isalpha() and t not in MATH_FUNCTIONS}))
     return out
 
 

@@ -34,7 +34,7 @@ def atomic_write_bytes(path, blob: bytes) -> None:
 
 # JSON value types accepted for each annotation name a config field uses.
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
-               "None": type(None)}
+               "list": list, "None": type(None)}
 
 
 class DictCodec:

@@ -39,6 +39,16 @@ class TrainSchedule(DictCodec):
 
 
 @dataclass
+class CheckpointHeader(DictCodec):
+    """The JSON config a checkpoint carries ahead of its tensor records."""
+
+    model: dict
+    quantizer: dict
+    codebook_decay: float
+    vocab: list
+
+
+@dataclass
 class ModelBundle:
     """Everything a trained artifact needs to encode, quantize, and decode."""
 
@@ -78,15 +88,6 @@ class ModelBundle:
 
     def decode_words(self, latents: np.ndarray, max_len: int | None = None) -> list[list[str]]:
         return [[self.vocab.word_of(i) for i in row] for row in self.decode_ids(latents, max_len)]
-
-    def autoencode_ids(self, ids: list[np.ndarray]) -> list[list[int]]:
-        """Greedy reconstructions of id sequences from their quantized latents, in
-        input order; each length is quantized and decoded as one stack."""
-        def autoencode(rows: np.ndarray) -> list[list[int]]:
-            encoded = md.encode_batch(rows, self.params, self.config).data
-            _, quantized = quantize_kmeans(encoded.reshape(-1, self.config.d_model), self.codebook)
-            return self.decode_ids(quantized.reshape(encoded.shape), max_len=rows.shape[1] + 2)
-        return by_length(autoencode, ids)
 
     def wmd_embeddings(self, sentences: list[list[str]]) -> list[np.ndarray]:
         """Quantized latents of each word sequence; an empty sequence falls back to
@@ -161,9 +162,28 @@ def warmup_codebook(ids: list[np.ndarray], params: md.ModelParams, config: md.Mo
     return Codebook.init_from_data(data, k, rng, decay=decay, seed=int(rng.integers(2**31)))
 
 
+def reconstruct(bundle: ModelBundle, ids: list[np.ndarray]) -> tuple[list[list[int]], float]:
+    """Greedy reconstructions of id sequences, in input order, and their
+    teacher-forced next-token accuracy.  Each length is encoded and quantized
+    once: its quantized rows feed both the teacher-forced forward and the
+    greedy decode."""
+    hits = total = 0
+
+    def decode(rows: np.ndarray) -> list[list[int]]:
+        nonlocal hits, total
+        _, _, quantized, logits, targets = teacher_forced(bundle, rows)
+        hits += int((logits.data.argmax(axis=-1) == targets).sum())
+        total += targets.size
+        del logits  # the greedy decode's peak need not hold the teacher-forced logits
+        return bundle.decode_ids(quantized, max_len=rows.shape[1] + 2)
+
+    decodes = by_length(decode, ids)
+    return decodes, hits / total
+
+
 def exact_match_rate(bundle: ModelBundle, ids: list[np.ndarray]) -> float:
     """Fraction of sentences greedy decoding reproduces token-for-token."""
-    return sum(got == list(row) for got, row in zip(bundle.autoencode_ids(ids), ids)) / len(ids)
+    return sum(got == list(row) for got, row in zip(reconstruct(bundle, ids)[0], ids)) / len(ids)
 
 
 def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.ModelConfig,
@@ -241,38 +261,31 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
 
 def token_accuracy(bundle: ModelBundle, token_lists: list[list[str]]) -> float:
     """Teacher-forced next-token accuracy over a corpus."""
-    total = correct = 0
-    for rows in length_batches(sentences_to_ids(token_lists, bundle.vocab)):
-        *_, logits, targets = teacher_forced(bundle, rows)
-        total += targets.size
-        correct += int((logits.data.argmax(axis=-1) == targets).sum())
-    return correct / total
+    return reconstruct(bundle, sentences_to_ids(token_lists, bundle.vocab))[1]
 
 
 # -- persistence -----------------------------------------------------------------
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
-    blob = {"model": bundle.config.to_dict(),
-            "quantizer": bundle.qconfig.to_dict(),
-            "codebook_decay": bundle.codebook.decay,
-            "vocab": bundle.vocab.words}
+    header = CheckpointHeader(bundle.config.to_dict(), bundle.qconfig.to_dict(),
+                              bundle.codebook.decay, bundle.vocab.words)
     tensors = dict(bundle.params.arrays())
     tensors["codebook.z"] = bundle.codebook.entries
     tensors["codebook.N"] = bundle.codebook.counts.astype(np.float32)
     tensors["codebook.m"] = bundle.codebook.sums.astype(np.float32)
-    md.save_checkpoint(path, blob, tensors)
+    md.save_checkpoint(path, header.to_dict(), tensors)
 
 
 def load_bundle(path) -> ModelBundle:
     """Read a checkpoint for inference; its params record no autodiff tape."""
     blob, tensors = md.load_checkpoint(path)
-    missing = [key for key in ("model", "quantizer", "codebook_decay", "vocab") if key not in blob]
-    if missing:
-        raise ContractError(f"checkpoint config lacks sections {missing}")
-    config = md.ModelConfig.from_dict(blob["model"])
-    qconfig = QuantizerConfig.from_dict(blob["quantizer"])
-    vocab = Vocabulary(blob["vocab"])
+    header = CheckpointHeader.from_dict(blob)
+    if not all(isinstance(word, str) for word in header.vocab):
+        raise ContractError("checkpoint vocab must be a list of words")
+    config = md.ModelConfig.from_dict(header.model)
+    qconfig = QuantizerConfig.from_dict(header.quantizer)
+    vocab = Vocabulary(header.vocab)
     if len(vocab) != config.vocab_size:
         raise ContractError(f"checkpoint vocabulary size {len(vocab)} != model vocab_size {config.vocab_size}")
     layout = {name: t.shape for name, t in
@@ -284,7 +297,7 @@ def load_bundle(path) -> ModelBundle:
         raise ContractError("checkpoint tensor names or shapes do not match the model layout")
     if not all(np.isfinite(arr).all() for arr in tensors.values()):
         raise ContractError("checkpoint holds non-finite weights")
-    codebook = Codebook(tensors.pop("codebook.z"), decay=blob["codebook_decay"],
+    codebook = Codebook(tensors.pop("codebook.z"), decay=header.codebook_decay,
                         counts=tensors.pop("codebook.N"), sums=tensors.pop("codebook.m"))
     params = md.ModelParams({name: Tensor(arr) for name, arr in tensors.items()})
     return ModelBundle(config, params, codebook, qconfig, vocab)

@@ -13,6 +13,7 @@ import numpy as np
 
 from vqlat import model as md
 from vqlat.autodiff import Tensor
+from vqlat.training import length_batches, sentences_to_ids, teacher_forced
 
 
 def finite_difference(f, tensors, h: float = 1e-5):
@@ -182,3 +183,14 @@ def greedy_generate_one(latents: np.ndarray, params, config, max_len: int,
             break
         generated.append(next_id)
     return generated
+
+
+def token_accuracy_per_length(bundle, token_lists: list[list[str]]) -> float:
+    """Teacher-forced next-token accuracy counted one length batch at a time, on
+    its own encode and quantize, apart from any greedy decode."""
+    total = correct = 0
+    for rows in length_batches(sentences_to_ids(token_lists, bundle.vocab)):
+        *_, logits, targets = teacher_forced(bundle, rows)
+        total += targets.size
+        correct += int((logits.data.argmax(axis=-1) == targets).sum())
+    return correct / total

@@ -1,12 +1,14 @@
 """End-to-end command tests: file outputs, determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from vqlat import corpus as cg
 from vqlat import model as md
 from vqlat.cli import main
+from vqlat.reports import fmt
 from vqlat.training import save_bundle
 
 from tests.conftest import train_bundle
@@ -97,6 +99,18 @@ class TestTrain:
         lines = (tmp_path / "run" / "loss_log.csv").read_text().strip().split("\n")
         assert len(lines) == 2
 
+    def test_leading_blank_lines_keep_the_grammar_format(self, tmp_path, tiny_ckpt):
+        padded = tmp_path / "padded.txt"
+        padded.write_bytes(b"\n  \n" + Path(tiny_ckpt["corpus"]).read_bytes())
+        for name, corpus in (("plain", tiny_ckpt["corpus"]), ("padded", padded)):
+            cfg = self.write_config(tmp_path, corpus, epochs=1, out_name=name)
+            assert main(["train", "--config", str(cfg)]) == 0
+            assert main(["reconstruct", "--checkpoint", tiny_ckpt["ckpt"], "--corpus", str(corpus),
+                         "--out", str(tmp_path / name)]) == 0
+        for output in ("checkpoint.ckpt", "loss_log.csv", "reconstruct.txt"):
+            assert (tmp_path / "padded" / output).read_bytes() == \
+                (tmp_path / "plain" / output).read_bytes(), output
+
     def test_missing_corpus_is_contract_error(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"corpus": str(tmp_path / "nope.txt"),
@@ -158,6 +172,17 @@ def test_bad_env_override_exits_three_and_writes_nothing(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert not (tmp_path / "run").exists()
+
+
+# Each edit turns a trained checkpoint's header into one every reader must refuse.
+BAD_CHECKPOINT_HEADERS = [
+    ("decay_string", lambda h: {**h, "codebook_decay": "x"}),
+    ("decay_null", lambda h: {**h, "codebook_decay": None}),
+    ("vocab_number", lambda h: {**h, "vocab": 5}),
+    ("vocab_nested", lambda h: {**h, "vocab": [["a"]]}),
+    ("vocab_not_words", lambda h: {**h, "vocab": list(range(len(h["vocab"])))}),
+    ("missing_vocab", lambda h: {k: v for k, v in h.items() if k != "vocab"}),
+]
 
 
 class TestReports:
@@ -223,6 +248,27 @@ class TestReports:
         assert "path\tdim " in report
         assert (tmp_path / "tree.json").exists()
 
+    @pytest.mark.parametrize("region,in_a,in_b", [
+        ("topic:cause,mean", lambda t: cg.infer_topic(t) == "cause",
+         lambda t: cg.infer_topic(t) == "mean"),
+        ("arg:storm,fire", lambda t: "storm" in t, lambda t: "fire" in t),
+    ], ids=["topic", "arg"])
+    def test_tree_region_kinds(self, tmp_path, tiny_ckpt, region, in_a, in_b):
+        assert main(["tree", "--checkpoint", tiny_ckpt["ckpt"],
+                     "--corpus", tiny_ckpt["corpus"], "--region", region,
+                     "--min-leaf", "2", "--moves", "1000", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tree_report.txt").read_text().splitlines()
+        assert lines[0] == f"region\t{region}"
+        finals = []  # every region-A sentence's last guided-move decode
+        for line in lines:
+            if line.startswith("move "):
+                finals.append(None)
+            elif line.startswith("  -> "):
+                finals[-1] = line[len("  -> "):].split()
+        assert len(finals) == sum(in_a(s.tokens) for s in tiny_ckpt["sentences"]) > 0
+        consistency = sum(in_b(tokens) for tokens in finals) / len(finals)
+        assert f"cross_region_consistency\t{fmt(consistency)}" in lines
+
     def test_tree_deterministic(self, tmp_path, tiny_ckpt):
         for name in ("t1", "t2"):
             assert main(["tree", "--checkpoint", tiny_ckpt["ckpt"],
@@ -275,6 +321,34 @@ class TestExitCodes:
             assert main(["reconstruct", "--checkpoint", str(ckpt),
                          "--corpus", str(corpus)]) == 3, cut
             assert capsys.readouterr().err.startswith("error: "), cut
+
+    @pytest.mark.parametrize("edit", [e for _, e in BAD_CHECKPOINT_HEADERS],
+                             ids=[name for name, _ in BAD_CHECKPOINT_HEADERS])
+    def test_bad_checkpoint_header_is_three(self, tiny_ckpt, tmp_path, capsys, edit):
+        header, tensors = md.read_checkpoint_bytes(Path(tiny_ckpt["ckpt"]).read_bytes())
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_bytes(md.write_checkpoint_bytes(edit(header), tensors))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--checkpoint", str(ckpt), "--corpus", tiny_ckpt["corpus"],
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("op,line", [
+        ("arg_sub", "a/O birch/ARG1 is/PRED a/O kind/O of/O tree/ARG2 ||| "
+                    "a/O crow/ARG1 is/PRED a/O kind/O of/O bird/ARG2"),
+        ("further_spec", "a/O crow/ARG1 is/PRED a/O kind/O of/O bird/ARG2 ||| "
+                         "a/O crow/ARG1 is/PRED a/O kind/O of/O bird/ARG2"),
+        ("conjunction", "a/O salmon/ARG0 can/O fly/PRED ||| a/O salmon/ARG0 can/O fly/PRED"),
+    ], ids=["arg_sub", "further_spec", "conjunction"])
+    def test_unanchored_premises_are_three(self, tiny_ckpt, tmp_path, capsys, op, line):
+        premises = tmp_path / "premises.txt"
+        premises.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main(["infer", "--checkpoint", tiny_ckpt["ckpt"], "--op", op,
+                     "--premises", str(premises), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "infer.txt").exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_interpolate_random_below_one_is_three(self, tiny_ckpt, tmp_path, capsys, count):

@@ -17,6 +17,7 @@ from vqlat.training import (
     exact_match_rate,
     length_batches,
     load_bundle,
+    reconstruct,
     save_bundle,
     sentences_to_ids,
     teacher_forced,
@@ -24,7 +25,8 @@ from vqlat.training import (
     train_model,
 )
 
-from tests.oracles import greedy_generate_one
+from tests.conftest import train_bundle
+from tests.oracles import greedy_generate_one, token_accuracy_per_length
 
 
 def small_corpus(n=20, seed=5):
@@ -133,7 +135,7 @@ class TestMemorization:
         want = [greedy_generate_one(bundle.quantize_ids([row])[0][1], bundle.params, bundle.config,
                                     len(row) + 2, bundle.vocab.START, bundle.vocab.END)
                 for row in ids]
-        assert bundle.autoencode_ids(ids) == want
+        assert reconstruct(bundle, ids)[0] == want
 
     def test_deterministic_generation(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
@@ -195,6 +197,20 @@ class TestSharedPasses:
                      "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "disentangle.txt").read_text() == \
             "role_content\tnum_centers\tavg_dis\tmax_dis\tmin_dis\n"
+
+    def test_reconstruct_equals_per_length_oracles(self, memorization_fixture, shuffled_ids):
+        bundle = memorization_fixture["bundle"]
+        untrained, _ = train_bundle(memorization_fixture["tokens"], seed=0, epochs=0,
+                                    codebook_size=16)
+        for model in (bundle, untrained):
+            decodes, accuracy = reconstruct(model, shuffled_ids)
+            assert decodes == [greedy_generate_one(
+                model.quantize_ids([row])[0][1], model.params, model.config, len(row) + 2,
+                model.vocab.START, model.vocab.END) for row in shuffled_ids]
+            words = [[model.vocab.word_of(i) for i in row] for row in shuffled_ids]
+            assert accuracy == token_accuracy_per_length(model, words)
+            assert token_accuracy(model, words) == accuracy
+        assert accuracy < 1.0  # the untrained model's count is not trivially full
 
     def test_exact_match_rate_equals_reconstruct_report(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
