@@ -25,7 +25,7 @@ from .errors import ContractError, InputError
 from .metrics import corpus_bleu
 from .model import ModelConfig
 from .quantizer import QuantizerConfig
-from .reports import DictCodec, atomic_write_text, fmt
+from .reports import DictCodec, atomic_write_text, fmt, read_lines
 from .training import (
     ModelBundle,
     TrainSchedule,
@@ -102,8 +102,7 @@ def load_run_config(path: str, overrides: dict) -> RunConfig:
 
 
 def _load_tokens(corpus_path: str) -> list[list[str]]:
-    with open(corpus_path, encoding="utf-8") as fh:
-        first = next((line for line in fh if line.strip()), "")
+    first = next((line for line in read_lines(corpus_path) if line.strip()), "")
     if "\t" in first or "/" not in first:
         tokens = [e.tokens for e in cg.load_math_corpus(corpus_path)]
     else:
@@ -334,14 +333,13 @@ def cmd_tree(args) -> int:
 
 def _load_premises(path: str) -> list[tuple[cg.AnnotatedSentence, cg.AnnotatedSentence]]:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            left, sep, right = line.partition(" ||| ")
-            if not sep:
-                raise ContractError("premises file lines must be 'P1 ||| P2' in token/ROLE form")
-            pairs.append((cg.parse_annotated(left.strip()), cg.parse_annotated(right.strip())))
+    for line in read_lines(path):
+        if not line.strip():
+            continue
+        left, sep, right = line.partition(" ||| ")
+        if not sep:
+            raise ContractError("premises file lines must be 'P1 ||| P2' in token/ROLE form")
+        pairs.append((cg.parse_annotated(left.strip()), cg.parse_annotated(right.strip())))
     if not pairs:
         raise ContractError(f"premises file {path!r} holds no 'P1 ||| P2' lines")
     return pairs

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InputError, NoAnchorError
-from .reports import atomic_write_text
+from .reports import atomic_write_text, read_lines
 
 ROLES = ("ARG0", "ARG1", "ARG2", "PRED", "MOD", "NEG", "O")
 
@@ -566,8 +566,7 @@ def save_corpus(path, sentences: list[AnnotatedSentence]) -> None:
 
 
 def load_corpus(path) -> list[AnnotatedSentence]:
-    with open(path, encoding="utf-8") as fh:
-        return [parse_annotated(line) for line in fh if line.strip()]
+    return [parse_annotated(line) for line in read_lines(path) if line.strip()]
 
 
 def save_math_corpus(path, expressions: list[MathExpression]) -> None:
@@ -576,14 +575,13 @@ def save_math_corpus(path, expressions: list[MathExpression]) -> None:
 
 def load_math_corpus(path) -> list[MathExpression]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            text, _, tag = line.rstrip("\n").partition("\t")
-            tokens = text.split()
-            out.append(MathExpression(tokens, tag or "EVAL",
-                                      {t for t in tokens if t.isalpha() and t not in MATH_FUNCTIONS}))
+    for line in read_lines(path):
+        if not line.strip():
+            continue
+        text, _, tag = line.rstrip("\n").partition("\t")
+        tokens = text.split()
+        out.append(MathExpression(tokens, tag or "EVAL",
+                                  {t for t in tokens if t.isalpha() and t not in MATH_FUNCTIONS}))
     return out
 
 
@@ -592,5 +590,4 @@ def save_vocab(path, vocab: Vocabulary) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        return Vocabulary([line.rstrip("\n") for line in fh if line.strip()])
+    return Vocabulary([line.rstrip("\n") for line in read_lines(path) if line.strip()])

@@ -85,16 +85,25 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
         raise ContractError(f"step_size must lie in (0, 1], got {step_size}")
 
     entries = codebook.entries
-    tgt_dists = _euclidean_to_entries(target, entries)
+    # Every row on the path is an entry, so each distinct entry's exact row of
+    # distances to the codebook is computed once and gathered by index.
+    memo: dict[int, np.ndarray] = {}
+
+    def entry_dists(idx: np.ndarray) -> np.ndarray:
+        new = sorted({int(i) for i in idx} - memo.keys())
+        if new:
+            memo.update(zip(new, _euclidean_to_entries(entries[new], entries)))
+        return np.stack([memo[int(i)] for i in idx])
+
+    tgt_dists = entry_dists(tgt_idx)
     n_steps = round(1.0 / step_size)
     points = [(0.0, source.copy(), src_idx.copy())]
-    current = source
+    idx = src_idx
     for k in range(1, n_steps + 1):
         t = min(k * step_size, 1.0) if k < n_steps else 1.0
-        cost = (1.0 - t) * _euclidean_to_entries(current, entries) + t * tgt_dists
+        cost = (1.0 - t) * entry_dists(idx) + t * tgt_dists
         idx = np.argmin(cost, axis=1)
-        current = entries[idx].copy()
-        points.append((t, current, idx))
+        points.append((t, entries[idx], idx))
     decoded = decode_fn(np.stack([latents for _, latents, _ in points]))
     return InterpolationPath([PathStep(*p, d) for p, d in zip(points, decoded)], step_size)
 

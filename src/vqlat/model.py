@@ -39,7 +39,7 @@ class ModelConfig(DictCodec):
     ffn_mult: int = 4
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
+        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ContractError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 4:
             raise ContractError("vocab_size must cover the special ids")

@@ -95,6 +95,11 @@ class Codebook:
         return cls(data[chosen].astype(np.float32), decay=decay, seed=seed)
 
 
+def _sq_diff_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = a - b
+    return np.sum(diff * diff, axis=-1)
+
+
 def pairwise_sq_dists(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances [N, K] via the explicit difference form.
 
@@ -102,15 +107,77 @@ def pairwise_sq_dists(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     bit-identical to a row-by-row scan.  Rows go through in blocks of
     ``max(1, 2**17 // (K*d))``, so each [rows, K, d] difference block holds
     about 2**17 values (0.5 MB in float32) whatever N is.  This is the
-    package's one distance kernel: quantization, interpolation, traversal and
-    transport costs all read it, in the dtype of their inputs.
+    package's exact distance kernel, in the dtype of its inputs: interpolation
+    rows, traversal and transport costs read it directly, and
+    :func:`nearest_entries` re-ranks its shortlist with the same form.
     """
     vectors = np.asarray(vectors)
     out = np.empty((vectors.shape[0], entries.shape[0]), dtype=np.result_type(vectors, entries))
     step = max(1, 2**17 // max(1, entries.size))
     for start in range(0, vectors.shape[0], step):
-        diff = vectors[start:start + step, None, :] - entries[None, :, :]
-        out[start:start + step] = np.sum(diff * diff, axis=-1)
+        out[start:start + step] = _sq_diff_sum(vectors[start:start + step, None, :], entries[None])
+    return out
+
+
+def nearest_entries(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest entry, bit-identical to
+    ``np.argmin(pairwise_sq_dists(vectors, entries), axis=1)``.
+
+    Rows go through in blocks of ``max(1, 2**16 // K)``, so each block's
+    float64 [rows, K] temporaries hold about 2**16 values (0.5 MB).  A float64
+    GEMM gives every distance as ``|x|^2 + |e|^2 - 2 x.e`` to within
+    ``g64 * (|x| + max|e|)^2``; the difference form in the input dtype is
+    within ``g * D + s`` of the true distance D (relative error of d + 2
+    roundings, plus an underflow term).  Only entries whose lower bound is at
+    or below the row's smallest upper bound can hold the difference form's
+    minimum, and only those are re-ranked by it, lowest index first on ties.
+    A row whose bounds are not finite (NaN or inf in the row or the codebook,
+    or distances beyond the dtype's range) is scanned in full by
+    :func:`pairwise_sq_dists`, whose argmin picks the first NaN.
+    """
+    vectors = np.asarray(vectors)
+    dtype = np.result_type(vectors, entries)
+    info = np.finfo(dtype)
+    n, d = vectors.shape
+    # g and g64 are twice the d + 2 roundings' bound in the input dtype and in
+    # float64; past g = 1/3 the widened limit stops covering the bound, so
+    # every row takes the full scan
+    g = (d + 2) * float(info.eps)
+    widen = 1 + 4 * g if g < 1 / 3 else np.inf
+    g64 = (d + 2) * 2.0**-52
+    slack = 2 * (d + 2) * float(info.tiny)
+    wide = entries.astype(np.float64)
+    wide_sq = np.einsum("kd,kd->k", wide, wide)
+    reach = np.sqrt(wide_sq.max())
+    out = np.empty(n, dtype=np.intp)
+    step = max(1, 2**16 // entries.shape[0])
+    for start in range(0, n, step):
+        block = vectors[start:start + step]
+        x = block.astype(np.float64)
+        # a bound that overflows or turns NaN sends its row to the full scan
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_sq = np.einsum("nd,nd->n", x, x)
+            approx = x @ wide.T
+            approx *= -2.0
+            approx += wide_sq
+            approx += x_sq[:, None]
+            err = g64 * (np.sqrt(x_sq) + reach) ** 2
+            limit = (approx.min(axis=1) + 2 * err + 2 * slack) * widen
+        full = ~(limit < float(info.max))
+        limit[full] = -np.inf
+        rows, cols = np.nonzero(approx <= limit[:, None])
+        dist = np.empty(rows.size, dtype=dtype)
+        chunk = max(1, 2**17 // max(1, d))
+        for at in range(0, rows.size, chunk):
+            dist[at:at + chunk] = _sq_diff_sum(block[rows[at:at + chunk]], entries[cols[at:at + chunk]])
+        order = np.lexsort((cols, dist, rows))
+        rows, cols = rows[order], cols[order]
+        lead = np.ones(rows.size, dtype=bool)
+        lead[1:] = rows[1:] != rows[:-1]
+        best = out[start:start + step]
+        best[rows[lead]] = cols[lead]
+        if full.any():
+            best[full] = np.argmin(pairwise_sq_dists(block[full], entries), axis=1)
     return out
 
 
@@ -121,10 +188,11 @@ def quantize_kmeans(embeddings: np.ndarray, codebook: Codebook) -> tuple[np.ndar
         raise ShapeError(f"quantize_kmeans: expected [L, I], got shape {embeddings.shape}")
     if embeddings.shape[1] != codebook.dim:
         raise ShapeError(f"quantize_kmeans: embedding width {embeddings.shape[1]} != codebook width {codebook.dim}")
+    if not np.issubdtype(embeddings.dtype, np.floating):
+        raise ContractError(f"quantize_kmeans: expected floating-point embeddings, got {embeddings.dtype}")
     entries = codebook.entries.astype(embeddings.dtype, copy=False)
-    dists = pairwise_sq_dists(embeddings, entries)
-    indices = np.argmin(dists, axis=1)
-    return indices, entries[indices].copy()
+    indices = nearest_entries(embeddings, entries)
+    return indices, entries[indices]
 
 
 def quantize_gumbel(scores: np.ndarray, codebook: Codebook, tau: float,

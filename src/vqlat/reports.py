@@ -1,5 +1,5 @@
-"""Small I/O helpers: atomic writes, strict config (de)serialization and
-deterministic number formatting."""
+"""Small I/O helpers: strict UTF-8 reads, atomic writes, strict config
+(de)serialization and deterministic number formatting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,17 @@ import dataclasses
 import os
 import tempfile
 
-from .errors import ContractError
+from .errors import ContractError, InputError
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, as iterating the open file yields them;
+    a file that does not decode is an :class:`InputError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{os.fspath(path)!r} is not UTF-8 text: {exc.reason}") from None
 
 
 def atomic_write_text(path, text: str) -> None:

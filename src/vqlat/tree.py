@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractError
 from .quantizer import Codebook, quantize_kmeans
-from .reports import atomic_write_text
+from .reports import atomic_write_text, read_lines
 
 
 @dataclass
@@ -300,5 +300,4 @@ def save_tree(path, tree: DecisionTree) -> None:
 
 
 def load_tree(path) -> DecisionTree:
-    with open(path, encoding="utf-8") as fh:
-        return tree_from_json(fh.read())
+    return tree_from_json("".join(read_lines(path)))

@@ -1,17 +1,21 @@
 """End-to-end command tests: file outputs, determinism, and exit codes."""
 
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vqlat import corpus as cg
 from vqlat import model as md
+from vqlat import quantizer
 from vqlat.cli import main
 from vqlat.reports import fmt
 from vqlat.training import save_bundle
 
 from tests.conftest import train_bundle
+from tests.oracles import sq_dists_scan
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +284,44 @@ class TestReports:
             (tmp_path / "t2" / "tree.json").read_bytes()
 
 
+def run_every_command(ckpt: str, corpus: str, sentence: str, root: Path, capsys):
+    """Exit code, stdout and stderr of each latent-space command, and the bytes of
+    every file they write under ``root``."""
+    commands = [
+        ["reconstruct", "--corpus", corpus, "--out", str(root / "reconstruct")],
+        ["interpolate", "--corpus", corpus, "--random", "3", "--out", str(root / "interpolate")],
+        ["traverse", "--sentence", sentence, "--position", "1", "--n", "4"],
+        ["arith", "--a", sentence, "--b", sentence],
+        ["disentangle", "--corpus", corpus, "--out", str(root / "disentangle")],
+        ["tree", "--corpus", corpus, "--region", "pred:causes,means", "--min-leaf", "2",
+         "--out", str(root / "tree")],
+    ] + [["infer", "--op", op, "--generate", "4", "--out", str(root / op)]
+         for op in cg.INFERENCE_OPS]
+    streams = []
+    for argv in commands:
+        code = main(argv + ["--checkpoint", ckpt])
+        captured = capsys.readouterr()
+        streams.append((argv[0], code, captured.out, captured.err))
+    files = {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    return streams, files
+
+
+def test_outputs_equal_difference_form_argmin(tiny_ckpt, tmp_path, capsys, monkeypatch):
+    """The shortlisted nearest-entry search changes no output of any command."""
+    args = (tiny_ckpt["ckpt"], tiny_ckpt["corpus"], tiny_ckpt["sentences"][0].text(),
+            tmp_path / "out", capsys)
+    shipped = run_every_command(*args)
+    shutil.rmtree(tmp_path / "out")
+    monkeypatch.setattr(quantizer, "nearest_entries",
+                        lambda vectors, entries: np.argmin(sq_dists_scan(vectors, entries), axis=1))
+    scanned = run_every_command(*args)
+    assert shipped[0] == scanned[0]
+    assert shipped[1].keys() == scanned[1].keys() and len(shipped[1]) >= 10
+    for name, blob in shipped[1].items():
+        assert blob == scanned[1][name], name
+    assert all(code == 0 for _, code, _, _ in shipped[0])
+
+
 class TestRunConfig:
     def test_round_trip_is_canonical(self):
         from vqlat.cli import RunConfig
@@ -409,6 +451,24 @@ class TestExitCodes:
         assert main(["reconstruct", "--checkpoint", tiny_ckpt["ckpt"],
                      "--corpus", str(corpus)]) == 0
         assert "sentences\t1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["reconstruct", "interpolate", "disentangle", "tree",
+                                         "infer"])
+    def test_non_utf8_input_is_three(self, tiny_ckpt, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.txt"
+        out = tmp_path / "out"
+        if command == "infer":
+            bad.write_bytes(b"\xff\n")
+            argv = ["infer", "--premises", str(bad)]
+        else:
+            bad.write_bytes(b"a/O \xff\xfe/ARG1 is/PRED\n")
+            argv = [command, "--corpus", str(bad)]
+            if command == "tree":
+                argv += ["--region", "pred:causes,means"]
+        assert main(argv + ["--checkpoint", tiny_ckpt["ckpt"], "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert not out.exists()
 
     def test_io_error_is_four(self, tiny_ckpt, tmp_path):
         assert main(["reconstruct", "--checkpoint", tiny_ckpt["ckpt"],

@@ -216,6 +216,14 @@ class TestFileFormats:
             assert vocab.id_of(word) == line_no + 4
         assert cg.load_vocab(path).words == vocab.words
 
+    @pytest.mark.parametrize("load", [cg.load_corpus, cg.load_math_corpus, cg.load_vocab],
+                             ids=["corpus", "math", "vocab"])
+    def test_non_utf8_file_is_input_error_naming_it(self, tmp_path, load):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"a/O \xff\xfe/ARG1 is/PRED\n")
+        with pytest.raises(InputError, match="latin1.txt"):
+            load(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("token_without_role\n")

@@ -12,7 +12,7 @@ from vqlat import geometry as geo
 from vqlat.errors import ContractError, NoAnchorError
 from vqlat.quantizer import Codebook, quantize_kmeans
 
-from tests.oracles import min_permutation_cost
+from tests.oracles import interpolate_per_step, min_permutation_cost
 
 
 def make_codebook(entries):
@@ -86,6 +86,29 @@ class TestInterpolate:
                     expected.append(int(np.argmin(costs)))
                 assert path.steps[k].indices.tolist() == expected, (trial, k)
                 prev = cb.entries[expected]
+
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicate-entries"])
+    def test_memo_matches_per_step_oracle(self, duplicates):
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            k, dim = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+            entries = rng.standard_normal((k, dim))
+            if duplicates:
+                entries = entries[rng.integers(0, k, size=k)]
+            cb = make_codebook(entries)
+            src = cb.entries[rng.integers(0, k, size=int(rng.integers(1, 7)))]
+            tgt = cb.entries[rng.integers(0, k, size=int(rng.integers(1, 7)))]
+            pad = cb.entries[int(rng.integers(0, k))]
+            step_size = (0.1, 0.25, 0.3, 1.0)[trial % 4]
+            decode = index_decode(cb)
+            path = geo.interpolate(src, tgt, cb, decode, step_size=step_size, pad_latent=pad)
+            want = interpolate_per_step(src, tgt, cb.entries, step_size, pad)
+            assert len(path.steps) == len(want)
+            for got, (t, latents, indices) in zip(path.steps, want):
+                assert got.t == t
+                assert got.indices.tolist() == indices.tolist(), (trial, t)
+                assert got.latents.tobytes() == latents.tobytes()
+                assert got.decoded == decode(latents[None])[0]
 
     def test_length_mismatch_without_padding(self, toy):
         cb, decode = toy

@@ -24,6 +24,11 @@ class TestConfig:
         with pytest.raises(ContractError):
             md.ModelConfig(vocab_size=10, d_model=10, n_heads=3)
 
+    @pytest.mark.parametrize("n_heads", [0, -2])
+    def test_heads_must_be_positive(self, n_heads):
+        with pytest.raises(ContractError):
+            md.ModelConfig(vocab_size=10, d_model=8, n_heads=n_heads)
+
     def test_round_trip(self):
         cfg = md.ModelConfig(vocab_size=50, d_model=32, n_heads=4)
         assert md.ModelConfig.from_dict(cfg.to_dict()) == cfg

@@ -3,6 +3,7 @@ three-term loss with straight-through gradients, and moving-average updates.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from vqlat.quantizer import (
     QuantizerConfig,
     ema_update,
     kl_to_uniform_prior,
+    nearest_entries,
     pairwise_sq_dists,
     quantize_gumbel,
     quantize_kmeans,
@@ -71,6 +73,11 @@ class TestQuantizeKmeans:
         idx2, q2 = quantize_kmeans(q1, cb)
         np.testing.assert_array_equal(q1, q2)
 
+    def test_integer_embeddings_rejected(self):
+        cb = make_codebook(np.zeros((2, 3)))
+        with pytest.raises(ContractError):
+            quantize_kmeans(np.zeros((1, 3), dtype=np.int64), cb)
+
     def test_width_mismatch(self):
         cb = make_codebook(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
@@ -96,6 +103,65 @@ class TestPairwiseSqDists:
             want = sq_dists_scan(vectors, entries)
             assert got.dtype == want.dtype == dtype
             assert got.shape == (n, k) and got.tobytes() == want.tobytes(), n
+
+
+# Inputs built to sit at the edges of the shortlist's error band.
+NEAREST_CASES = ("random", "duplicates", "ulp_apart", "midpoints", "large_norm", "non_finite")
+
+
+class TestNearestEntries:
+    @settings(max_examples=400, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), case=st.sampled_from(NEAREST_CASES),
+           k=st.integers(1, 24), dim=st.integers(1, 40), n=st.integers(0, 12),
+           scale_exp=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+    def test_equals_difference_form_argmin(self, dtype, case, k, dim, n, scale_exp, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** scale_exp
+        entries = rng.standard_normal((k, dim)) * scale
+        vectors = rng.standard_normal((n, dim)) * scale
+        if case == "duplicates":
+            entries = entries[rng.integers(0, k, size=k)]
+        elif case == "midpoints":
+            vectors = (entries[rng.integers(0, k, size=n)] + entries[rng.integers(0, k, size=n)]) / 2
+        elif case == "large_norm":  # far from the origin, close to the entries
+            shift = rng.standard_normal(dim) * scale * 1e4
+            entries += shift
+            vectors = entries[rng.integers(0, k, size=n)] + vectors * 1e-3
+        entries, vectors = entries.astype(dtype), vectors.astype(dtype)
+        if case == "ulp_apart":
+            entries[1::2] = np.nextafter(entries[0::2][:k // 2], dtype(np.inf))
+            vectors[: n // 2] = entries[rng.integers(0, k, size=n // 2)]
+        elif case == "non_finite":
+            vectors.flat[rng.integers(0, vectors.size, size=min(3, vectors.size))] = \
+                rng.choice([np.nan, np.inf, -np.inf], size=min(3, vectors.size))
+            if rng.random() < 0.3:
+                entries[rng.integers(0, k), rng.integers(0, dim)] = np.nan
+        with np.errstate(all="ignore"):
+            want = np.argmin(sq_dists_scan(vectors, entries), axis=1)
+            got = nearest_entries(vectors, entries)
+        assert got.tolist() == want.tolist()
+
+    def test_first_nan_index_for_non_finite_rows(self):
+        entries = np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0], [np.nan, 0.0]], dtype=np.float32)
+        vectors = np.array([[1.9, 2.1], [np.nan, 0.0]], dtype=np.float32)
+        assert nearest_entries(vectors, entries).tolist() == [1, 0]
+        assert nearest_entries(vectors[1:], entries[[0, 2]]).tolist() == [0]
+
+    def test_memory_is_bounded_at_ten_thousand_entries(self):
+        # the [N, K] float32 distance matrix alone would be 4096 * 10,000 * 4 = 164 MB
+        rng = np.random.default_rng(10)
+        codebook = make_codebook(rng.standard_normal((10_000, 64)))
+        vectors = rng.standard_normal((4096, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            indices, _ = quantize_kmeans(vectors, codebook)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+        sample = rng.choice(4096, size=32, replace=False)
+        want = np.argmin(sq_dists_scan(vectors[sample], codebook.entries), axis=1)
+        assert indices[sample].tolist() == want.tolist()
 
 
 class TestQuantizeGumbel:
