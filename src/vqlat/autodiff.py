@@ -26,7 +26,7 @@ class Tensor:
 
     A tensor is either a leaf (no parents) or the recorded result of an op.
     Leaves with ``requires_grad=True`` receive accumulated gradients from
-    :func:`backward`; repeated backward calls without :meth:`zero_grad`
+    :func:`backward`; repeated backward calls without :meth:`Adam.zero_grad`
     accumulate.  A tensor built by :func:`stop_gradient` carries
     ``stop_gradient=True`` and blocks all propagation into its ancestry.
     """
@@ -59,15 +59,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -175,7 +168,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(y, (x,), backward_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -183,7 +176,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xn = xc * inv
     data = xn * gain.data + bias.data
 
@@ -381,20 +374,16 @@ def backward(loss: Tensor) -> None:
 class Adam:
     """Adam with bias correction over a fixed list of parameter tensors."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
@@ -403,7 +392,7 @@ class Adam:
             self._v[i] = b2 * self._v[i] + (1 - b2) * (g * g)
             m_hat = self._m[i] / (1 - b1 ** self.t)
             v_hat = self._v[i] / (1 - b2 ** self.t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params:

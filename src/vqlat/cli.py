@@ -53,13 +53,6 @@ class RunConfig(DictCodec):
     quantizer: dict = field(default_factory=dict)
     schedule: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
-
     def validate(self) -> None:
         if not self.corpus:
             raise ContractError("run config is missing 'corpus'")
@@ -71,28 +64,22 @@ class RunConfig(DictCodec):
 
 def load_run_config(path: str, overrides: dict) -> RunConfig:
     """File -> environment (VQL_*) -> flag overrides, in increasing precedence."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ContractError(f"run config {path!r} is not UTF-8 JSON: {exc}") from exc
-    config = RunConfig.from_dict(blob)
+    try:
+        config = RunConfig.from_dict(json.loads("".join(read_lines(path))))
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"run config {path!r} is not JSON: {exc}") from exc
+    values = {}
     for key, cast in (("seed", int), ("epochs", int), ("lr", float), ("out_dir", str),
                       ("corpus", str)):
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             try:
-                value = cast(env)
+                values[key] = cast(env)
             except ValueError:
                 raise ContractError(f"environment override {ENV_PREFIX}{key.upper()}={env!r} "
                                     f"is not a valid {cast.__name__}") from None
-            if key in ("epochs", "lr"):
-                config.schedule[key] = value
-            else:
-                setattr(config, key, value)
-    for key, value in overrides.items():
-        if value is None:
-            continue
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    for key, value in values.items():
         if key in ("epochs", "lr"):
             config.schedule[key] = value
         else:
@@ -291,9 +278,8 @@ def cmd_tree(args) -> int:
 
     rows_cache = bundle.encode_ids(sentences_to_ids([s.tokens for s in group_a + group_b],
                                                     bundle.vocab))
-    pooled, labels = tc.split_pooled([
-        tc.PooledLatent(rows.mean(axis=0), label_a if n < len(group_a) else label_b)
-        for n, rows in enumerate(rows_cache)])
+    pooled = np.stack([rows.mean(axis=0) for rows in rows_cache])
+    labels = [label_a] * len(group_a) + [label_b] * len(group_b)
 
     train_idx = list(range(0, len(labels), 2))
     held_idx = list(range(1, len(labels), 2))

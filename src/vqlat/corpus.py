@@ -475,7 +475,7 @@ def generate_math(seed: int, count: int, split: str) -> list[MathExpression]:
     return out
 
 
-# -- vocabulary and tokenization ----------------------------------------------
+# -- vocabulary -----------------------------------------------------------------
 
 
 class Vocabulary:
@@ -511,36 +511,6 @@ def build_vocab(token_lists: list[list[str]]) -> Vocabulary:
     """Sorted vocabulary over every word observed in the inputs."""
     words = sorted({tok for toks in token_lists for tok in toks})
     return Vocabulary(words)
-
-
-def full_grammar_vocab() -> Vocabulary:
-    """Vocabulary covering every word any grammar template can emit."""
-    words = set()
-    words.update(SPECIFIC_NOUNS, MIDDLE_NOUNS, RESOURCES, PURPOSES, EVENTS, EFFECTS,
-                 INTRANSITIVES, ABILITY_VERBS)
-    for pair in VERB_SYNONYMS:
-        words.update(pair)
-    for general in MIDDLE_TO_GENERAL.values():
-        words.update(general)
-    words.update(["a", "is", "not", "kind", "of", "requires", "to", "causes", "means",
-                  "if", "then", "can", "and"])
-    return Vocabulary(sorted(words))
-
-
-def tokenize(text: str | list[str], vocab: Vocabulary) -> list[int]:
-    """Ids bracketed by start/end; unknown words map to the unk id."""
-    words = text.split() if isinstance(text, str) else list(text)
-    return [vocab.START] + [vocab.id_of(w) for w in words] + [vocab.END]
-
-
-def detokenize(ids: list[int], vocab: Vocabulary) -> str:
-    """Inverse of tokenize on known words; specials are dropped."""
-    n = len(vocab)
-    for i in ids:
-        if not 0 <= i < n:
-            raise InputError(f"id {i} outside vocabulary of size {n}")
-    words = [vocab.word_of(i) for i in ids if i >= len(Vocabulary.SPECIALS)]
-    return " ".join(words)
 
 
 # -- file formats ---------------------------------------------------------------

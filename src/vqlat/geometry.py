@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import inference_plan
 from .errors import ContractError, ShapeError
@@ -43,16 +42,6 @@ class InterpolationPath:
     step_size: float
 
 
-def _require_quantized(latents: np.ndarray, codebook: Codebook, name: str) -> np.ndarray:
-    latents = np.asarray(latents, dtype=np.float32)
-    if latents.ndim != 2 or latents.shape[1] != codebook.dim:
-        raise ShapeError(f"{name}: expected [L, {codebook.dim}] latents, got {latents.shape}")
-    indices, snapped = quantize_kmeans(latents, codebook)
-    if not np.array_equal(snapped, latents):
-        raise ContractError(f"{name}: latent rows must be codebook entries")
-    return indices
-
-
 def _euclidean_to_entries(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return np.sqrt(pairwise_sq_dists(rows.astype(np.float64), entries.astype(np.float64)))
 
@@ -79,15 +68,21 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
             source = np.concatenate([source, pad])
         while target.shape[0] < source.shape[0]:
             target = np.concatenate([target, pad])
-    src_idx = _require_quantized(source, codebook, "interpolate source")
-    tgt_idx = _require_quantized(target, codebook, "interpolate target")
-    if not 0.0 < step_size <= 1.0:
-        raise ContractError(f"step_size must lie in (0, 1], got {step_size}")
-
     entries = codebook.entries
     # Every row on the path is an entry, so each distinct entry's exact row of
     # distances to the codebook is computed once and gathered by index.
     memo: dict[int, np.ndarray] = {}
+
+    def endpoint_indices(rows: np.ndarray, name: str) -> np.ndarray:
+        # each row must equal an entry exactly; its distance row seeds the memo
+        if rows.ndim != 2 or rows.shape[1] != codebook.dim:
+            raise ShapeError(f"{name}: expected [L, {codebook.dim}] latents, got {rows.shape}")
+        dists = _euclidean_to_entries(rows, entries)
+        idx = np.argmin(dists, axis=1)
+        if dists.min(axis=1).any():
+            raise ContractError(f"{name}: latent rows must be codebook entries")
+        memo.update(zip(idx.tolist(), dists))
+        return idx
 
     def entry_dists(idx: np.ndarray) -> np.ndarray:
         new = sorted({int(i) for i in idx} - memo.keys())
@@ -95,6 +90,10 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
             memo.update(zip(new, _euclidean_to_entries(entries[new], entries)))
         return np.stack([memo[int(i)] for i in idx])
 
+    src_idx = endpoint_indices(source, "interpolate source")
+    tgt_idx = endpoint_indices(target, "interpolate target")
+    if not 0.0 < step_size <= 1.0:
+        raise ContractError(f"step_size must lie in (0, 1], got {step_size}")
     tgt_dists = entry_dists(tgt_idx)
     n_steps = round(1.0 / step_size)
     points = [(0.0, source.copy(), src_idx.copy())]
@@ -139,6 +138,8 @@ def wmd(a: np.ndarray, b: np.ndarray) -> AlignmentResult:
         raise ContractError("wmd: empty sequence")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"wmd: embedding widths {a.shape[1]} and {b.shape[1]} disagree")
+    from scipy.optimize import linear_sum_assignment  # on first use: scipy is slow to import
+
     la, lb = a.shape[0], b.shape[0]
     base_cost = _euclidean_to_entries(a, b)
 

@@ -7,13 +7,15 @@ from collections import Counter
 
 from .errors import ContractError
 
+ORDERS = range(1, 5)  # BLEU-1..4
+
 
 def _ngrams(tokens: list, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(candidates: list[list], references: list[list], max_n: int = 4) -> dict[int, float]:
-    """BLEU-1..max_n over aligned candidate/reference token lists.
+def corpus_bleu(candidates: list[list], references: list[list]) -> dict[int, float]:
+    """BLEU-1..4 over aligned candidate/reference token lists.
 
     Counts are clipped per sentence by the reference's n-gram multiplicity;
     the brevity penalty uses total lengths.  An order with zero matches
@@ -23,24 +25,24 @@ def corpus_bleu(candidates: list[list], references: list[list], max_n: int = 4) 
         raise ContractError(f"{len(candidates)} candidates vs {len(references)} references")
     if not candidates:
         raise ContractError("empty corpus")
-    matched = {n: 0 for n in range(1, max_n + 1)}
-    total = {n: 0 for n in range(1, max_n + 1)}
+    matched = {n: 0 for n in ORDERS}
+    total = {n: 0 for n in ORDERS}
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in ORDERS:
             cand_counts = _ngrams(cand, n)
             ref_counts = _ngrams(ref, n)
             matched[n] += sum(min(c, ref_counts.get(g, 0)) for g, c in cand_counts.items())
             total[n] += max(len(cand) - n + 1, 0)
 
     if cand_len == 0:
-        return {n: 0.0 for n in range(1, max_n + 1)}
+        return {n: 0.0 for n in ORDERS}
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     scores = {}
-    for n in range(1, max_n + 1):
+    for n in ORDERS:
         precisions = []
         for k in range(1, n + 1):
             if total[k] == 0 or matched[k] == 0:

@@ -39,6 +39,8 @@ class ModelConfig(DictCodec):
     ffn_mult: int = 4
 
     def __post_init__(self):
+        if self.d_model < 2 or self.d_model % 2:
+            raise ContractError(f"d_model must be positive and even, got {self.d_model}")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ContractError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 4:
@@ -67,8 +69,7 @@ class ModelParams:
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator,
-                dtype=np.float32, init_scale: float = 0.02,
-                emb_init_scale: float = 0.1) -> ModelParams:
+                dtype=np.float32, init_scale: float = 0.02) -> ModelParams:
     tensors: dict[str, Tensor] = {}
 
     def param(name, *shape, zero=False, one=False, scale=init_scale):
@@ -83,7 +84,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
     d, hidden = config.d_model, config.d_model * config.ffn_mult
     # embeddings are scaled by sqrt(d) in the forward pass; this init keeps
     # their magnitude comparable to the positional signal
-    param("tok_emb", config.vocab_size, d, scale=emb_init_scale)
+    param("tok_emb", config.vocab_size, d, scale=0.1)
 
     def attention_block(prefix):
         for proj in ("wq", "wk", "wv", "wo"):

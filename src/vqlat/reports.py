@@ -82,6 +82,6 @@ class DictCodec:
         return cls(**d)
 
 
-def fmt(value: float, places: int = 6) -> str:
+def fmt(value: float) -> str:
     """Fixed-point rendering so reports are byte-stable across runs."""
-    return f"{value:.{places}f}"
+    return f"{value:.6f}"

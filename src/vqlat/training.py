@@ -33,9 +33,11 @@ class TrainSchedule(DictCodec):
     check_every: int = 5
 
     def __post_init__(self):
-        for name in ("batch_size", "check_every"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"schedule {name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("codebook_size", 1),
+                            ("check_every", 1)):
+            if getattr(self, name) < least:
+                raise ContractError(f"schedule {name} must be at least {least}, "
+                                    f"got {getattr(self, name)}")
 
 
 @dataclass

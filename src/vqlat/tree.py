@@ -18,26 +18,6 @@ from .reports import atomic_write_text, read_lines
 
 
 @dataclass
-class PooledLatent:
-    """Sentence-level vector (mean of pre-quantization encoder rows) plus its region."""
-
-    vector: np.ndarray
-    cluster_label: object
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1 or not np.isfinite(self.vector).all():
-            raise ContractError("pooled latent must be a finite 1-d vector")
-
-
-def split_pooled(samples: list[PooledLatent]) -> tuple[np.ndarray, list]:
-    """Feature matrix and label list from pooled-latent samples."""
-    if not samples:
-        raise ContractError("no pooled samples")
-    return np.stack([s.vector for s in samples]), [s.cluster_label for s in samples]
-
-
-@dataclass
 class TreeNode:
     dim: int | None = None
     threshold: float | None = None
@@ -132,8 +112,15 @@ def _grow(points: np.ndarray, labels: list, max_depth: int, min_leaf: int, depth
     return TreeNode(dim=dim, threshold=threshold, left=left, right=right)
 
 
-def fit_tree(points, labels, max_depth: int = 6, min_leaf: int = 5) -> DecisionTree:
+def _finite_points(points) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(points).all():
+        raise ContractError("pooled latents must be finite")
+    return points
+
+
+def fit_tree(points, labels, max_depth: int = 6, min_leaf: int = 5) -> DecisionTree:
+    points = _finite_points(points)
     labels = list(labels)
     if points.ndim != 2 or points.shape[0] != len(labels):
         raise ContractError(f"{points.shape} points do not align with {len(labels)} labels")
@@ -151,7 +138,7 @@ def fit_tree(points, labels, max_depth: int = 6, min_leaf: int = 5) -> DecisionT
 
 def tree_metrics(tree: DecisionTree, points, labels, positive_label) -> dict:
     """Held-out accuracy (separability), precision/recall (density), and f1."""
-    predictions = tree.predict(points)
+    predictions = tree.predict(_finite_points(points))
     labels = list(labels)
     tp = sum(1 for p, y in zip(predictions, labels) if p == positive_label and y == positive_label)
     fp = sum(1 for p, y in zip(predictions, labels) if p == positive_label and y != positive_label)

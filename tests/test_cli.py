@@ -1,7 +1,10 @@
 """End-to-end command tests: file outputs, determinism, and exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +142,10 @@ BAD_RUN_CONFIGS = [
     ("negative_batch_size", lambda c: {**c, "schedule": {**c["schedule"], "batch_size": -2}}),
     ("zero_check_every", lambda c: {**c, "schedule": {**c["schedule"], "check_every": 0,
                                                       "target_exact_match": 0.5}}),
+    ("odd_d_model", lambda c: {**c, "model": {**c["model"], "d_model": 5, "n_heads": 1}}),
+    ("zero_d_model", lambda c: {**c, "model": {**c["model"], "d_model": 0}}),
+    ("zero_codebook_size", lambda c: {**c, "schedule": {**c["schedule"], "codebook_size": 0}}),
+    ("negative_epochs", lambda c: {**c, "schedule": {**c["schedule"], "epochs": -2}}),
 ]
 
 
@@ -158,6 +165,27 @@ def test_bad_run_config_exits_three_and_writes_nothing(tmp_path, capsys, edit):
     assert main(["train", "--config", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
+
+
+def test_non_utf8_run_config_exits_three_and_names_it(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    cg.save_corpus(corpus, cg.generate_sentences(5, 12))
+    config = {"seed": 7, "corpus": str(corpus), "out_dir": str(tmp_path / "run"),
+              "schedule": {"epochs": 1}}
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(config).encode("utf-8").replace(b'"seed"', b'"s\xe9ed"'))
+    assert main(["train", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "latin1.json" in err and "UTF-8" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(cg.__file__).parents[1]
+    probe = "import sys, vqlat.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("name,value", [("VQL_EPOCHS", "two"), ("VQL_LR", "fast"),
@@ -320,16 +348,6 @@ def test_outputs_equal_difference_form_argmin(tiny_ckpt, tmp_path, capsys, monke
     for name, blob in shipped[1].items():
         assert blob == scanned[1][name], name
     assert all(code == 0 for _, code, _, _ in shipped[0])
-
-
-class TestRunConfig:
-    def test_round_trip_is_canonical(self):
-        from vqlat.cli import RunConfig
-        cfg = RunConfig(seed=3, corpus="c.txt", out_dir="o",
-                        model={"d_model": 16}, schedule={"epochs": 2, "lr": 0.002})
-        text = cfg.to_json()
-        assert RunConfig.from_json(text) == cfg
-        assert RunConfig.from_json(text).to_json() == text
 
 
 class TestExitCodes:

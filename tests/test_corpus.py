@@ -1,8 +1,6 @@
-"""Grammar, math-split, and tokenizer contracts."""
+"""Grammar, math-split, and vocabulary contracts."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vqlat import corpus as cg
 from vqlat.errors import ContractError, InputError
@@ -154,39 +152,10 @@ class TestMathSplits:
 
 
 class TestTokenizer:
-    def test_round_trip_on_generated_corpus(self):
-        sentences = cg.generate_sentences(9, 300)
-        vocab = cg.build_vocab([s.tokens for s in sentences])
-        for s in sentences:
-            ids = cg.tokenize(s.tokens, vocab)
-            assert ids[0] == vocab.START and ids[-1] == vocab.END
-            assert cg.detokenize(ids, vocab) == s.text()
-
-    def test_unknown_word_maps_to_unk(self):
-        vocab = cg.build_vocab([["alpha", "beta"]])
-        ids = cg.tokenize("alpha zorp", vocab)
-        assert ids == [vocab.START, vocab.id_of("alpha"), vocab.UNK, vocab.END]
-
-    def test_empty_string_is_start_end(self):
-        vocab = cg.build_vocab([["x"]])
-        assert cg.tokenize("", vocab) == [vocab.START, vocab.END]
-        assert cg.detokenize([vocab.START, vocab.END], vocab) == ""
-
     def test_specials_reserved(self):
         vocab = cg.build_vocab([["x"]])
         assert (vocab.PAD, vocab.START, vocab.END, vocab.UNK) == (0, 1, 2, 3)
         assert vocab.id_of("x") == 4
-
-    def test_detokenize_rejects_out_of_range(self):
-        vocab = cg.build_vocab([["x"]])
-        with pytest.raises(InputError):
-            cg.detokenize([99], vocab)
-
-    @given(st.lists(st.sampled_from(sorted(cg.SPECIFIC_NOUNS)), min_size=0, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, words):
-        vocab = cg.full_grammar_vocab()
-        assert cg.detokenize(cg.tokenize(words, vocab), vocab) == " ".join(words)
 
 
 class TestFileFormats:

@@ -137,6 +137,16 @@ class TestInterpolate:
         assert t == "0.00" and indices == "0"
 
 
+def test_interpolate_reads_endpoint_indices_without_quantizing(toy, monkeypatch):
+    cb, decode = toy
+    calls = []
+    monkeypatch.setattr(geo, "quantize_kmeans", lambda *a: calls.append(a) or quantize_kmeans(*a))
+    path = geo.interpolate(cb.entries[[2, 0]].copy(), cb.entries[[5, 3]].copy(), cb, decode)
+    assert calls == []
+    assert path.steps[0].indices.tolist() == [2, 0]
+    assert path.steps[-1].indices.tolist() == [5, 3]
+
+
 class TestWmd:
     def test_identical_sequences_cost_zero(self):
         rng = np.random.default_rng(2)

@@ -267,19 +267,16 @@ class TestDefaultMargins:
 
 
 class TestPooledLatent:
-    def test_split_recovers_matrix_and_labels(self):
-        samples = [tc.PooledLatent([0.0, 1.0], "A"), tc.PooledLatent([2.0, 3.0], "B")]
-        points, labels = tc.split_pooled(samples)
-        np.testing.assert_array_equal(points, [[0.0, 1.0], [2.0, 3.0]])
-        assert labels == ["A", "B"]
-
     def test_rejects_non_finite(self):
+        points = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+        labels = ["A", "A", "B", "B"]
+        bad = points.copy()
+        bad[2, 0] = np.nan
         with pytest.raises(ContractError):
-            tc.PooledLatent([np.nan, 0.0], "A")
-
-    def test_rejects_matrix(self):
+            tc.fit_tree(bad, labels, min_leaf=1)
+        tree = tc.fit_tree(points, labels, min_leaf=1)
         with pytest.raises(ContractError):
-            tc.PooledLatent(np.zeros((2, 2)), "A")
+            tc.tree_metrics(tree, bad, labels, positive_label="B")
 
 
 class TestTreeSerialization:
