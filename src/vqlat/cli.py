@@ -60,6 +60,8 @@ class RunConfig(DictCodec):
             raise ContractError(f"corpus path {self.corpus!r} does not resolve")
         if not self.out_dir:
             raise ContractError("run config is missing 'out_dir'")
+        if "seed" in self.schedule:
+            raise ContractError("run config sets schedule.seed; set the top-level 'seed' instead")
 
 
 def load_run_config(path: str, overrides: dict) -> RunConfig:
@@ -126,9 +128,7 @@ def cmd_train(args) -> int:
     model_section.setdefault("vocab_size", len(vocab))
     model_config = ModelConfig.from_dict(model_section)
     qconfig = QuantizerConfig.from_dict(config.quantizer)
-    schedule_section = dict(config.schedule)
-    schedule_section.setdefault("seed", config.seed)
-    schedule = TrainSchedule.from_dict(schedule_section)
+    schedule = TrainSchedule.from_dict({**config.schedule, "seed": config.seed})
 
     log: list[dict] = []
     bundle = train_model(tokens, vocab, model_config, qconfig, schedule, log)

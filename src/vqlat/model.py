@@ -35,7 +35,6 @@ class ModelConfig(DictCodec):
     n_layers_enc: int = 2
     n_layers_dec: int = 2
     max_len: int = 32
-    dropout_rate: float = 0.0
     ffn_mult: int = 4
 
     def __post_init__(self):
@@ -45,8 +44,10 @@ class ModelConfig(DictCodec):
             raise ContractError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 4:
             raise ContractError("vocab_size must cover the special ids")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ContractError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        # without a decoder layer no cross-attention reads the latents
+        for name, least in (("ffn_mult", 1), ("n_layers_enc", 0), ("n_layers_dec", 1)):
+            if getattr(self, name) < least:
+                raise ContractError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 class ModelParams:
@@ -135,8 +136,7 @@ def sinusoidal_positions(length: int, d_model: int, dtype=np.float32) -> np.ndar
 
 def _multi_head_attention(params: ModelParams, prefix: str, config: ModelConfig,
                           queries: Tensor, keys_values: Tensor,
-                          mask: np.ndarray | None, training: bool,
-                          rng: np.random.Generator | None) -> Tensor:
+                          mask: np.ndarray | None) -> Tensor:
     """Projected scaled dot-product attention over [B, L, d] streams."""
     b, lq, d = queries.shape
     lk = keys_values.shape[1]
@@ -155,16 +155,13 @@ def _multi_head_attention(params: ModelParams, prefix: str, config: ModelConfig,
     if mask is not None:
         scores = ad.add(scores, Tensor(mask.astype(scores.data.dtype)))
     weights = ad.softmax(scores, axis=-1)
-    weights = ad.dropout(weights, config.dropout_rate, rng, training)
     ctx = ad.matmul(weights, v)
     ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, lq, d))
     return ad.add(ad.matmul(ctx, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
-def _feed_forward(params: ModelParams, prefix: str, config: ModelConfig,
-                  x: Tensor, training: bool, rng) -> Tensor:
+def _feed_forward(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     h = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    h = ad.dropout(h, config.dropout_rate, rng, training)
     return ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
@@ -181,8 +178,7 @@ def _validate_ids(ids: np.ndarray, config: ModelConfig) -> None:
         raise InputError(f"token id outside vocabulary of size {config.vocab_size}")
 
 
-def encode_batch(token_ids: np.ndarray, params: ModelParams, config: ModelConfig,
-                 training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+def encode_batch(token_ids: np.ndarray, params: ModelParams, config: ModelConfig) -> Tensor:
     """Continuous embeddings [B, L, d] for same-length id rows [B, L]."""
     ids = np.asarray(token_ids)
     if ids.ndim != 2:
@@ -194,15 +190,10 @@ def encode_batch(token_ids: np.ndarray, params: ModelParams, config: ModelConfig
     # O(1)-per-dim positional signal
     x = ad.mul(ad.embedding_lookup(params["tok_emb"], ids), float(np.sqrt(config.d_model)))
     x = ad.add(x, Tensor(sinusoidal_positions(length, config.d_model, params["tok_emb"].data.dtype)))
-    x = ad.dropout(x, config.dropout_rate, rng, training)
     for i in range(config.n_layers_enc):
         normed = _layer_norm(params, f"enc.{i}.ln1", x)
-        attn = _multi_head_attention(params, f"enc.{i}.attn", config,
-                                     normed, normed, None, training, rng)
-        x = ad.add(x, ad.dropout(attn, config.dropout_rate, rng, training))
-        ffn = _feed_forward(params, f"enc.{i}.ffn", config,
-                            _layer_norm(params, f"enc.{i}.ln2", x), training, rng)
-        x = ad.add(x, ad.dropout(ffn, config.dropout_rate, rng, training))
+        x = ad.add(x, _multi_head_attention(params, f"enc.{i}.attn", config, normed, normed, None))
+        x = ad.add(x, _feed_forward(params, f"enc.{i}.ffn", _layer_norm(params, f"enc.{i}.ln2", x)))
     return _layer_norm(params, "enc.ln_out", x)
 
 
@@ -213,8 +204,7 @@ def causal_mask(length: int) -> np.ndarray:
 
 
 def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
-                 config: ModelConfig, training: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
+                 config: ModelConfig) -> Tensor:
     """Next-token logits [B, L', vocab] given latent rows [B, L, d]."""
     if latents.ndim != 3:
         raise ShapeError(f"decode_batch: expected [B, L, d] latents, got {latents.shape}")
@@ -228,20 +218,13 @@ def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
 
     x = ad.mul(ad.embedding_lookup(params["tok_emb"], ids), float(np.sqrt(config.d_model)))
     x = ad.add(x, Tensor(sinusoidal_positions(length, config.d_model, params["tok_emb"].data.dtype)))
-    x = ad.dropout(x, config.dropout_rate, rng, training)
     mask = causal_mask(length)
     for i in range(config.n_layers_dec):
         normed = _layer_norm(params, f"dec.{i}.ln1", x)
-        self_attn = _multi_head_attention(params, f"dec.{i}.self", config,
-                                          normed, normed, mask, training, rng)
-        x = ad.add(x, ad.dropout(self_attn, config.dropout_rate, rng, training))
-        cross = _multi_head_attention(params, f"dec.{i}.cross", config,
-                                      _layer_norm(params, f"dec.{i}.ln2", x),
-                                      latents, None, training, rng)
-        x = ad.add(x, ad.dropout(cross, config.dropout_rate, rng, training))
-        ffn = _feed_forward(params, f"dec.{i}.ffn", config,
-                            _layer_norm(params, f"dec.{i}.ln3", x), training, rng)
-        x = ad.add(x, ad.dropout(ffn, config.dropout_rate, rng, training))
+        x = ad.add(x, _multi_head_attention(params, f"dec.{i}.self", config, normed, normed, mask))
+        x = ad.add(x, _multi_head_attention(params, f"dec.{i}.cross", config,
+                                            _layer_norm(params, f"dec.{i}.ln2", x), latents, None))
+        x = ad.add(x, _feed_forward(params, f"dec.{i}.ffn", _layer_norm(params, f"dec.{i}.ln3", x)))
     x = _layer_norm(params, "dec.ln_out", x)
     return ad.add(ad.matmul(x, params["out.w"]), params["out.b"])
 

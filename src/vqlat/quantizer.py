@@ -1,6 +1,6 @@
 """Discrete latent space: nearest-entry quantization, straight-through
-gradients, the three-term objective, moving-average codebook updates, and a
-Gumbel-softmax selection alternative.
+gradients, the reconstruction-plus-commitment objective, moving-average
+codebook updates, and a standalone Gumbel-softmax selection.
 """
 
 from __future__ import annotations
@@ -19,24 +19,18 @@ from .reports import DictCodec
 # reseeded from the current batch.
 DEAD_COUNT_THRESHOLD = 1e-3
 
-_SCHEMES = ("kmeans", "gumbel")
-
 
 @dataclass
 class QuantizerConfig(DictCodec):
     scheme: str = "kmeans"
     commitment_beta: float = 0.25
-    gumbel_tau: float = 1.0
-    use_ema: bool = True
-    include_codebook_term: bool = False
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ContractError(f"unknown quantizer scheme {self.scheme!r}")
-        if not self.commitment_beta < 1.0:
-            raise ContractError(f"commitment weight must be < 1, got {self.commitment_beta}")
-        if not self.gumbel_tau > 0.0:
-            raise ContractError(f"gumbel temperature must be positive, got {self.gumbel_tau}")
+        # training selects by nearest entry and moves entries by EMA, nothing else
+        if self.scheme != "kmeans":
+            raise ContractError(f"quantizer scheme must be 'kmeans', got {self.scheme!r}")
+        if not 0.0 <= self.commitment_beta < 1.0:
+            raise ContractError(f"commitment weight must lie in [0, 1), got {self.commitment_beta}")
 
 
 class Codebook:
@@ -228,34 +222,25 @@ def straight_through(encoder_out: Tensor, quantized: np.ndarray) -> Tensor:
     return ad.substitute_forward(encoder_out, quantized)
 
 
-def vq_loss(encoder_out: Tensor, quantized, reconstruction_ce: Tensor,
-            beta: float, include_codebook_term: bool = False,
-            reduction: str = "sum") -> Tensor:
-    """Three-term objective: reconstruction + codebook pull + commitment.
+def vq_loss(encoder_out: Tensor, quantized: np.ndarray, reconstruction_ce: Tensor,
+            beta: float, reduction: str = "sum") -> Tensor:
+    """Two-term objective: reconstruction + beta * commitment ``||E - sg(z_q)||^2``.
 
-    The codebook term ``||sg(E) - z_q||^2`` is omitted by default because
-    moving-average updates replace its gradient; set
-    ``include_codebook_term=True`` to keep its value in the total (and its
-    gradient, whenever ``quantized`` is a graph tensor).  ``reduction``
-    chooses between the plain summed squared norms and their elementwise
-    mean, which trainers prefer for scale balance.
+    The VQ-VAE codebook term ``||sg(E) - z_q||^2`` is left out: moving-average
+    updates move the entries, so it would carry no gradient.  ``reduction``
+    chooses between the plain summed squared norm and its elementwise mean,
+    which trainers prefer for scale balance.
     """
     if reduction not in ("sum", "mean"):
         raise ContractError(f"vq_loss: unknown reduction {reduction!r}")
-    zq = quantized if isinstance(quantized, Tensor) else Tensor(
-        np.asarray(quantized, dtype=encoder_out.data.dtype))
+    zq = np.asarray(quantized, dtype=encoder_out.data.dtype)
     if zq.shape != encoder_out.shape:
         raise ShapeError(f"vq_loss: shapes {encoder_out.shape} and {zq.shape} disagree")
-
-    def sq_norm(t: Tensor) -> Tensor:
-        total = ad.sum_(ad.mul(t, t))
-        return ad.mul(total, 1.0 / t.size) if reduction == "mean" else total
-
-    loss = reconstruction_ce
-    if include_codebook_term:
-        loss = ad.add(loss, sq_norm(ad.sub(ad.stop_gradient(encoder_out), zq)))
-    commitment = sq_norm(ad.sub(encoder_out, ad.stop_gradient(zq)))
-    return ad.add(loss, ad.mul(commitment, float(beta)))
+    diff = ad.sub(encoder_out, zq)
+    commitment = ad.sum_(ad.mul(diff, diff))
+    if reduction == "mean":
+        commitment = ad.mul(commitment, 1.0 / diff.size)
+    return ad.add(reconstruction_ce, ad.mul(commitment, float(beta)))
 
 
 def ema_update(codebook: Codebook, embeddings: np.ndarray, indices: np.ndarray) -> None:

@@ -38,6 +38,8 @@ class TrainSchedule(DictCodec):
             if getattr(self, name) < least:
                 raise ContractError(f"schedule {name} must be at least {least}, "
                                     f"got {getattr(self, name)}")
+        if not self.lr > 0.0:  # NaN fails too
+            raise ContractError(f"schedule lr must be positive, got {self.lr}")
 
 
 @dataclass
@@ -139,26 +141,24 @@ def by_length(fn, ids: list[np.ndarray]) -> list:
     return [row for _, row in sorted(zip(order, results), key=lambda pair: pair[0])]
 
 
-def teacher_forced(bundle: ModelBundle, rows: np.ndarray, training: bool = False,
-                   rng: np.random.Generator | None = None):
+def teacher_forced(bundle: ModelBundle, rows: np.ndarray):
     """Encode and quantize one [B, L] batch, then decode it behind the start marker
     through the straight-through latents.  Returns the encoder output, the entry
     indices [B*L], the quantized rows, the logits and the end-closed targets [B, L+1]."""
     params, config, vocab = bundle.params, bundle.config, bundle.vocab
-    enc_out = md.encode_batch(rows, params, config, training=training, rng=rng)
+    enc_out = md.encode_batch(rows, params, config)
     indices, quantized = quantize_kmeans(enc_out.data.reshape(-1, config.d_model), bundle.codebook)
     quantized = quantized.reshape(enc_out.shape)
     b = rows.shape[0]
     dec_in = np.concatenate([np.full((b, 1), vocab.START, dtype=np.int64), rows], axis=1)
     targets = np.concatenate([rows, np.full((b, 1), vocab.END, dtype=np.int64)], axis=1)
-    logits = md.decode_batch(straight_through(enc_out, quantized), dec_in, params, config,
-                             training=training, rng=rng)
+    logits = md.decode_batch(straight_through(enc_out, quantized), dec_in, params, config)
     return enc_out, indices, quantized, logits, targets
 
 
 def warmup_codebook(ids: list[np.ndarray], params: md.ModelParams, config: md.ModelConfig,
                     k: int, decay: float, rng: np.random.Generator) -> Codebook:
-    """Collect one eval-mode pass of encoder outputs and seed entries from them."""
+    """Collect one pass of encoder outputs and seed entries from them."""
     data = np.concatenate([md.encode_batch(rows, params, config).data.reshape(-1, config.d_model)
                            for rows in length_batches(ids)], axis=0)
     return Codebook.init_from_data(data, k, rng, decay=decay, seed=int(rng.integers(2**31)))
@@ -194,10 +194,6 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
     """Train on the given sentences; returns the bundle, appending per-epoch rows to ``log``."""
     if config.vocab_size != len(vocab):
         raise ContractError(f"config.vocab_size {config.vocab_size} != vocabulary size {len(vocab)}")
-    # the loop below always selects by nearest entry and moves entries by EMA
-    if qconfig.scheme != "kmeans" or not qconfig.use_ema:
-        raise ContractError(f"training supports only scheme 'kmeans' with use_ema true, got "
-                            f"scheme {qconfig.scheme!r} with use_ema {qconfig.use_ema}")
     ids = sentences_to_ids(token_lists, vocab)
     if not ids:
         raise ContractError("empty corpus")
@@ -208,14 +204,12 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
     param_rng = np.random.default_rng(schedule.seed)
     batch_rng = np.random.default_rng(schedule.seed + 1)
     warm_rng = np.random.default_rng(schedule.seed + 2)
-    drop_rng = np.random.default_rng(schedule.seed + 3)
 
     params = md.init_params(config, param_rng)
     codebook = warmup_codebook(ids, params, config, schedule.codebook_size,
                                schedule.codebook_decay, warm_rng)
     bundle = ModelBundle(config, params, codebook, qconfig, vocab)
     optimizer = Adam(params.trainable(), lr=schedule.lr)
-    beta = qconfig.commitment_beta
 
     for epoch in range(schedule.epochs):
         total_ce = 0.0
@@ -223,15 +217,12 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
         total_tokens = 0
         correct_tokens = 0
         for rows in length_batches(ids, schedule.batch_size, batch_rng):
-            enc_out, indices, quantized, logits, targets = teacher_forced(
-                bundle, rows, training=True, rng=drop_rng)
+            enc_out, indices, quantized, logits, targets = teacher_forced(bundle, rows)
             ema_update(codebook, enc_out.data.reshape(-1, config.d_model).astype(np.float64),
                        indices)
             flat_logits = ad.reshape(logits, (targets.size, config.vocab_size))
             ce = ad.cross_entropy_with_logits(flat_logits, targets.reshape(-1))
-            loss = vq_loss(enc_out, quantized, ce, beta,
-                           include_codebook_term=qconfig.include_codebook_term,
-                           reduction="mean")
+            loss = vq_loss(enc_out, quantized, ce, qconfig.commitment_beta, reduction="mean")
 
             optimizer.zero_grad()
             ad.backward(loss)

@@ -216,11 +216,12 @@ def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
     """
     rows = np.asarray(sentence_rows, dtype=np.float64).copy()
     pooled = rows.mean(axis=0)
+    margin = np.broadcast_to(np.asarray(margin, dtype=np.float64), pooled.shape)
+    if not (np.isfinite(margin) & (margin > 0)).all():
+        raise ContractError("margin must be finite and positive")
     moved = []
     for constraint in path.steps:
-        eps = float(np.broadcast_to(margin, pooled.shape)[constraint.dim])
-        if eps <= 0:
-            raise ContractError("margin must be positive")
+        eps = float(margin[constraint.dim])
         value = pooled[constraint.dim]
         if constraint.branch == "<=":
             satisfied = value <= constraint.threshold

@@ -146,6 +146,18 @@ BAD_RUN_CONFIGS = [
     ("zero_d_model", lambda c: {**c, "model": {**c["model"], "d_model": 0}}),
     ("zero_codebook_size", lambda c: {**c, "schedule": {**c["schedule"], "codebook_size": 0}}),
     ("negative_epochs", lambda c: {**c, "schedule": {**c["schedule"], "epochs": -2}}),
+    ("negative_ffn_mult", lambda c: {**c, "model": {**c["model"], "ffn_mult": -1}}),
+    ("zero_ffn_mult", lambda c: {**c, "model": {**c["model"], "ffn_mult": 0}}),
+    ("negative_enc_layers", lambda c: {**c, "model": {**c["model"], "n_layers_enc": -1}}),
+    ("negative_dec_layers", lambda c: {**c, "model": {**c["model"], "n_layers_dec": -3}}),
+    ("zero_dec_layers", lambda c: {**c, "model": {**c["model"], "n_layers_dec": 0}}),
+    ("zero_lr", lambda c: {**c, "schedule": {**c["schedule"], "lr": 0}}),
+    ("negative_lr", lambda c: {**c, "schedule": {**c["schedule"], "lr": -0.002}}),
+    ("negative_beta", lambda c: {**c, "quantizer": {"commitment_beta": -5}}),
+    ("schedule_seed", lambda c: {**c, "schedule": {**c["schedule"], "seed": 1}}),
+    ("dropout_rate", lambda c: {**c, "model": {**c["model"], "dropout_rate": 0.0}}),
+    ("gumbel_tau", lambda c: {**c, "quantizer": {"gumbel_tau": 1.0}}),
+    ("include_codebook_term", lambda c: {**c, "quantizer": {"include_codebook_term": False}}),
 ]
 
 
@@ -360,6 +372,30 @@ class TestExitCodes:
         assert main(["tree", "--checkpoint", tiny_ckpt["ckpt"],
                      "--corpus", tiny_ckpt["corpus"], "--region", "bogus",
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "dropout_rate", 0.0), ("quantizer", "gumbel_tau", 1.0),
+        ("quantizer", "use_ema", True), ("quantizer", "include_codebook_term", False)])
+    def test_retired_header_key_is_three(self, tiny_ckpt, tmp_path, capsys, section, key, value):
+        header, tensors = md.read_checkpoint_bytes(Path(tiny_ckpt["ckpt"]).read_bytes())
+        header[section] = {**header[section], key: value}
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_bytes(md.write_checkpoint_bytes(header, tensors))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--checkpoint", str(ckpt), "--corpus", tiny_ckpt["corpus"],
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_tree_bad_margin_scale_is_three(self, tiny_ckpt, tmp_path, capsys, scale):
+        assert main(["tree", "--checkpoint", tiny_ckpt["ckpt"], "--corpus", tiny_ckpt["corpus"],
+                     "--region", "pred:causes,means", "--min-leaf", "2",
+                     "--margin-scale", scale, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "tree.json").exists()
+        assert not (tmp_path / "tree_report.txt").exists()
 
     def test_truncated_checkpoint_is_three(self, tmp_path, capsys):
         sentences = cg.generate_sentences(5, 12)

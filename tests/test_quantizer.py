@@ -213,7 +213,7 @@ class TestVqLoss:
     def test_zero_residual_reduces_to_reconstruction(self):
         e = Tensor(np.ones((3, 2)), dtype=np.float64)
         ce = Tensor(np.asarray(1.25), dtype=np.float64)
-        loss = vq_loss(e, e.data.copy(), ce, beta=0.25, include_codebook_term=True)
+        loss = vq_loss(e, e.data.copy(), ce, beta=0.25)
         assert loss.item() == pytest.approx(1.25)
 
     def test_arithmetic_with_ema_enabled(self):
@@ -223,13 +223,6 @@ class TestVqLoss:
         ce = Tensor(np.asarray(1.0), dtype=np.float64)
         loss = vq_loss(e, zq, ce, beta=0.25)
         assert loss.item() == pytest.approx(2.0)
-
-    def test_codebook_term_included_on_request(self):
-        e = Tensor(np.array([[2.0, 0.0]]), dtype=np.float64)
-        zq = np.array([[0.0, 0.0]])
-        ce = Tensor(np.asarray(1.0), dtype=np.float64)
-        loss = vq_loss(e, zq, ce, beta=0.25, include_codebook_term=True)
-        assert loss.item() == pytest.approx(1.0 + 4.0 + 0.25 * 4.0)
 
     def test_straight_through_forward_equals_quantized(self):
         rng = np.random.default_rng(7)
@@ -371,9 +364,10 @@ class TestQuantizerConfig:
             QuantizerConfig(commitment_beta=1.0)
 
     def test_rejects_bad_scheme(self):
-        with pytest.raises(ContractError):
-            QuantizerConfig(scheme="argmax")
+        for scheme in ("argmax", "gumbel"):
+            with pytest.raises(ContractError):
+                QuantizerConfig(scheme=scheme)
 
     def test_round_trips_through_dict(self):
-        cfg = QuantizerConfig(scheme="gumbel", commitment_beta=0.5, gumbel_tau=0.7)
+        cfg = QuantizerConfig(commitment_beta=0.5)
         assert QuantizerConfig.from_dict(cfg.to_dict()) == cfg

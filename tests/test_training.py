@@ -92,6 +92,10 @@ class TestTrainModel:
         with pytest.raises(ContractError):
             train_model(tokens, vocab, config, QuantizerConfig(), make_schedule())
 
+    def test_nan_lr_rejected(self):
+        with pytest.raises(ContractError):
+            make_schedule(lr=float("nan"))
+
 
 class TestLengthBatches:
     def test_shuffled_batches_follow_the_per_length_shuffle(self):
