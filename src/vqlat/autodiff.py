@@ -27,21 +27,18 @@ class Tensor:
     A tensor is either a leaf (no parents) or the recorded result of an op.
     Leaves with ``requires_grad=True`` receive accumulated gradients from
     :func:`backward`; repeated backward calls without :meth:`Adam.zero_grad`
-    accumulate.  A tensor built by :func:`stop_gradient` carries
-    ``stop_gradient=True`` and blocks all propagation into its ancestry.
+    accumulate.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "stop_gradient", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, stop_gradient: bool = False,
-                 dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.stop_gradient = stop_gradient
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
 
@@ -296,17 +293,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
     return _node(data, (x,), backward_fn)
 
 
-def stop_gradient(x: Tensor) -> Tensor:
-    """Forward identity that contributes exactly zero gradient upstream."""
-    return Tensor(x.data, requires_grad=False, stop_gradient=True)
-
-
 def substitute_forward(x: Tensor, value) -> Tensor:
     """Emit ``value`` verbatim while gradients flow to ``x`` unchanged.
 
-    Equivalent to ``x + stop_gradient(value - x)`` but with a bit-exact
-    forward: float cancellation in the literal composition would otherwise
-    leave rounding residue on the substituted values.
+    Equivalent to ``x + (value - x)`` with the difference held constant, but
+    with a bit-exact forward: float cancellation in the literal composition
+    would otherwise leave rounding residue on the substituted values.
     """
     data = np.asarray(value, dtype=x.data.dtype)
     if data.shape != x.shape:

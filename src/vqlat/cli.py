@@ -108,8 +108,6 @@ def cmd_gen_corpus(args) -> int:
     if args.kind == "grammar":
         sentences = cg.generate_sentences(args.seed, args.count)
         cg.save_corpus(os.path.join(args.out, "sentences.txt"), sentences)
-        cg.save_vocab(os.path.join(args.out, "vocab.txt"),
-                      cg.build_vocab([s.tokens for s in sentences]))
         print(f"wrote {len(sentences)} sentences to {args.out}")
     else:
         for split in cg.MATH_SPLITS:
@@ -182,6 +180,13 @@ def _interpolation_pairs(args, count: int) -> list[tuple[int, int]]:
     return [(int(rng.integers(count)), int(rng.integers(count))) for _ in range(args.random)]
 
 
+def _decode_groups(bundle: ModelBundle, groups) -> list[list[list[str]]]:
+    """Decodes of every latent sequence [L, d] of every group, from one decode
+    call, grouped as the sequences were."""
+    decoded = iter(bundle.decode_words([rows for group in groups for rows in group]))
+    return [[next(decoded) for _ in group] for group in groups]
+
+
 def cmd_interpolate(args) -> int:
     bundle = load_bundle(args.checkpoint)
     tokens = _load_tokens(args.corpus)
@@ -191,12 +196,15 @@ def cmd_interpolate(args) -> int:
     ends = sorted({k for pair in pairs for k in pair})
     latents = dict(zip(ends, (rows for _, rows in bundle.quantize_ids(
         sentences_to_ids([tokens[k] for k in ends], bundle.vocab)))))
-    paths = [geo.interpolate(latents[i], latents[j], bundle.codebook, bundle.decode_words,
-                             pad_latent=pad) for i, j in pairs]
-    scores = [geo.interpolation_smoothness(path, bundle.wmd_embeddings) for path in paths]
+    paths = [geo.interpolate(latents[i], latents[j], bundle.codebook, pad_latent=pad)
+             for i, j in pairs]
+    decodes = _decode_groups(bundle, [[step.latents for step in path.steps] for path in paths])
+    distinct = list(dict.fromkeys(tuple(words) for steps in decodes for words in steps))
+    embeddings = dict(zip(distinct, bundle.wmd_embeddings(distinct)))
+    scores = [geo.interpolation_smoothness(steps, embeddings) for steps in decodes]
 
-    for (i, j), path in zip(pairs, paths):
-        atomic_write_text(os.path.join(args.out, f"path_{i}_{j}.txt"), geo.dump_path(path))
+    for (i, j), path, steps in zip(pairs, paths, decodes):
+        atomic_write_text(os.path.join(args.out, f"path_{i}_{j}.txt"), geo.dump_path(path, steps))
     report = (f"pairs\t{len(scores)}\n"
               f"avg IS\t{fmt(float(np.mean(scores)))}\n"
               f"max IS\t{fmt(float(np.max(scores)))}\n"
@@ -218,8 +226,8 @@ def _known_words(bundle: ModelBundle, sentence: str) -> list[str]:
 def cmd_traverse(args) -> int:
     bundle = load_bundle(args.checkpoint)
     _, quantized = bundle.quantize_words(_known_words(bundle, args.sentence))
-    variants = geo.traverse_position(quantized, args.position, bundle.codebook,
-                                     args.n, bundle.decode_words)
+    variants = bundle.decode_words(geo.traverse_position(quantized, args.position,
+                                                         bundle.codebook, args.n))
     for k, variant in enumerate(variants):
         print(f"variant {k}: {' '.join(variant)}")
     return 0
@@ -229,8 +237,8 @@ def cmd_arith(args) -> int:
     bundle = load_bundle(args.checkpoint)
     _, a = bundle.quantize_words(_known_words(bundle, args.a))
     _, b = bundle.quantize_words(_known_words(bundle, args.b))
-    result = geo.latent_arithmetic_add(a, b, bundle.codebook, bundle.decode_words)
-    print(" ".join(result.decoded))
+    _, summed = geo.latent_arithmetic_add(a, b, bundle.codebook)
+    print(" ".join(bundle.decode_words([summed])[0]))
     return 0
 
 
@@ -290,12 +298,12 @@ def cmd_tree(args) -> int:
     path = tc.extract_path(tree, label_b)
     margins = tc.default_margins(pooled[train_idx])
 
-    finals = []
+    margin = margins * args.margin_scale
+    moves = _decode_groups(bundle, [tc.guided_move(rows, path, margin, bundle.codebook)
+                                    for rows in rows_cache[:len(group_a)]])
+    finals = [outputs[-1] for outputs in moves]
     move_lines = []
-    for n, (sentence, rows) in enumerate(zip(group_a, rows_cache[:len(group_a)])):
-        outputs = tc.guided_move(rows, path, margins * args.margin_scale,
-                                 bundle.codebook, bundle.decode_words)
-        finals.append(outputs[-1])
+    for n, (sentence, outputs) in enumerate(zip(group_a, moves)):
         if n < args.moves:
             move_lines.append(f"move {n}: {sentence.text()}")
             move_lines += [f"  -> {' '.join(step)}" for step in outputs]
@@ -353,12 +361,12 @@ def cmd_infer(args) -> int:
     latents = [geo.SentenceLatents(p.tokens, p.roles, rows)
                for p, (_, rows) in zip(premises, quantized)]
 
+    # raises NoAnchorError (exit 3) where derive_conclusion gave None
+    hybrids = [geo.substitute(s1, s2, args.op, and_latent=and_latent)
+               for s1, s2 in zip(latents[::2], latents[1::2])]
     lines = []
     hits = 0
-    for n, ((_, _, want), s1, s2) in enumerate(zip(instances, latents[::2], latents[1::2])):
-        # raises NoAnchorError (exit 3) where derive_conclusion gave None
-        got = geo.substitute_and_decode(s1, s2, args.op, bundle.decode_words,
-                                        and_latent=and_latent)
+    for n, ((_, _, want), got) in enumerate(zip(instances, bundle.decode_words(hybrids))):
         hit = got == list(want)
         hits += hit
         lines.append(f"{n}\t{'OK' if hit else 'MISS'}\t{' '.join(got)}")

@@ -553,11 +553,3 @@ def load_math_corpus(path) -> list[MathExpression]:
         out.append(MathExpression(tokens, tag or "EVAL",
                                   {t for t in tokens if t.isalpha() and t not in MATH_FUNCTIONS}))
     return out
-
-
-def save_vocab(path, vocab: Vocabulary) -> None:
-    atomic_write_text(path, "".join(w + "\n" for w in vocab.words))
-
-
-def load_vocab(path) -> Vocabulary:
-    return Vocabulary([line.rstrip("\n") for line in read_lines(path) if line.strip()])

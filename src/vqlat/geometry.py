@@ -4,26 +4,21 @@ Everything here operates on quantized latent rows and a codebook snapshot:
 interpolation paths with their smoothness ratio, exact optimal-transport
 alignment between embedding bags, per-position traversal, latent addition,
 role-content dispersion statistics, and span substitution between premises.
-All functions are pure given the model/codebook snapshot.
+All functions are pure given the codebook snapshot; none decodes, so the
+control functions return the latent rows they build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import inference_plan
 from .errors import ContractError, ShapeError
 from .quantizer import Codebook, pairwise_sq_dists, quantize_kmeans
-
-# Decodes a stack of same-length latent sequences [B, L, d]: one decode per row.
-DecodeFn = Callable[[np.ndarray], list]
-# Embeds a list of decoded sentences: one [L, d] array per sentence.
-EmbedFn = Callable[[list], list]
-
 
 # -- interpolation --------------------------------------------------------------
 
@@ -33,7 +28,6 @@ class PathStep:
     t: float
     latents: np.ndarray
     indices: np.ndarray
-    decoded: list
 
 
 @dataclass
@@ -47,7 +41,7 @@ def _euclidean_to_entries(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
-                decode_fn: DecodeFn, step_size: float = 0.1,
+                step_size: float = 0.1,
                 pad_latent: np.ndarray | None = None) -> InterpolationPath:
     """Stepwise path from source to target latent rows.
 
@@ -103,15 +97,15 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
         cost = (1.0 - t) * entry_dists(idx) + t * tgt_dists
         idx = np.argmin(cost, axis=1)
         points.append((t, entries[idx], idx))
-    decoded = decode_fn(np.stack([latents for _, latents, _ in points]))
-    return InterpolationPath([PathStep(*p, d) for p, d in zip(points, decoded)], step_size)
+    return InterpolationPath([PathStep(*p) for p in points], step_size)
 
 
-def dump_path(path: InterpolationPath) -> str:
+def dump_path(path: InterpolationPath, decoded: Sequence[Sequence]) -> str:
+    """One ``t<TAB>indices<TAB>decoded sentence`` line per step."""
     lines = []
-    for step in path.steps:
+    for step, words in zip(path.steps, decoded, strict=True):
         indices = ",".join(str(int(i)) for i in step.indices)
-        sentence = " ".join(str(tok) for tok in step.decoded)
+        sentence = " ".join(str(tok) for tok in words)
         lines.append(f"{step.t:.2f}\t{indices}\t{sentence}")
     return "\n".join(lines) + "\n"
 
@@ -155,21 +149,24 @@ def wmd(a: np.ndarray, b: np.ndarray) -> AlignmentResult:
     return AlignmentResult(cost, plan)
 
 
-def interpolation_smoothness(path: InterpolationPath, embed_fn: EmbedFn) -> float:
-    """Direct source-to-target cost over the summed stepwise costs.
+def interpolation_smoothness(decoded: Sequence[Sequence],
+                             embeddings: Mapping[tuple, np.ndarray]) -> float:
+    """Direct source-to-target cost over the summed stepwise costs of a path's
+    decoded sentences, one per step.
 
-    Consecutive duplicate decoded sentences are collapsed first; a degenerate
+    ``embeddings`` maps each sentence, as a tuple of tokens, to its ``[L, d]``
+    rows.  Consecutive duplicate sentences are collapsed first; a degenerate
     all-identical path is 1.0 by convention.
     """
-    if len(path.steps) < 2:
+    if len(decoded) < 2:
         raise ContractError("interpolation_smoothness: need at least two steps")
-    unique: list[list] = []
-    for step in path.steps:
-        if not unique or list(step.decoded) != unique[-1]:
-            unique.append(list(step.decoded))
+    unique: list[tuple] = []
+    for sentence in decoded:
+        if not unique or tuple(sentence) != unique[-1]:
+            unique.append(tuple(sentence))
     if len(unique) < 2:
         return 1.0
-    embeddings = embed_fn(unique)
+    embeddings = [embeddings[sentence] for sentence in unique]
     denom = sum(wmd(embeddings[i], embeddings[i + 1]).cost for i in range(len(embeddings) - 1))
     if denom <= 1e-12:
         return 1.0
@@ -180,8 +177,9 @@ def interpolation_smoothness(path: InterpolationPath, embed_fn: EmbedFn) -> floa
 
 
 def traverse_position(latents: np.ndarray, position: int, codebook: Codebook,
-                      n_variants: int, decode_fn: DecodeFn) -> list[list]:
-    """Decode variants that swap one latent row for its nearest neighbours.
+                      n_variants: int) -> np.ndarray:
+    """Variants ``[n_variants, L, d]`` that swap one latent row for its nearest
+    neighbours.
 
     The first variant keeps the row itself (its nearest entry); the rest use
     the next-nearest entries in distance order.
@@ -195,25 +193,18 @@ def traverse_position(latents: np.ndarray, position: int, codebook: Codebook,
     order = np.argsort(dists, kind="stable")[:n_variants]
     variants = np.repeat(latents[None], n_variants, axis=0)
     variants[:, position] = codebook.entries[order]
-    return decode_fn(variants)
+    return variants
 
 
-@dataclass
-class ArithmeticResult:
-    indices: np.ndarray
-    quantized: np.ndarray
-    decoded: list
-
-
-def latent_arithmetic_add(a: np.ndarray, b: np.ndarray, codebook: Codebook,
-                          decode_fn: DecodeFn) -> ArithmeticResult:
-    """Position-wise sum over the shared prefix, re-quantized and decoded."""
+def latent_arithmetic_add(a: np.ndarray, b: np.ndarray,
+                          codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Position-wise sum over the shared prefix, re-quantized: its entry indices
+    and quantized rows."""
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
     rows = min(a.shape[0], b.shape[0])
     total = a[:rows] + b[:rows]
-    indices, quantized = quantize_kmeans(total, codebook)
-    return ArithmeticResult(indices, quantized, decode_fn(quantized[None])[0])
+    return quantize_kmeans(total, codebook)
 
 
 # -- disentanglement statistics ------------------------------------------------------
@@ -275,10 +266,10 @@ class SentenceLatents:
             raise ContractError("tokens, roles, and latent rows must align")
 
 
-def substitute_and_decode(p1: SentenceLatents, p2: SentenceLatents, op: str,
-                          decode_fn: DecodeFn,
-                          and_latent: np.ndarray | None = None) -> list:
-    """Latent-space inference over two premises; returns the decoded conclusion.
+def substitute(p1: SentenceLatents, p2: SentenceLatents, op: str,
+               and_latent: np.ndarray | None = None) -> np.ndarray:
+    """Latent-space inference over two premises; returns the conclusion's
+    hybrid latent rows ``[L, d]``.
 
     The hybrid concatenates the latent rows of :func:`inference_plan`'s
     slices, with ``and_latent`` as the connective's row.
@@ -288,4 +279,4 @@ def substitute_and_decode(p1: SentenceLatents, p2: SentenceLatents, op: str,
     rows = (p1.latents, p2.latents)
     hybrid = [np.asarray(and_latent, dtype=np.float32).reshape(1, -1) if piece is None
               else rows[piece[0]][piece[1]:piece[2]] for piece in inference_plan(p1, p2, op)]
-    return decode_fn(np.concatenate(hybrid)[None])[0]
+    return np.concatenate(hybrid)

@@ -40,6 +40,9 @@ class TrainSchedule(DictCodec):
                                     f"got {getattr(self, name)}")
         if not self.lr > 0.0:  # NaN fails too
             raise ContractError(f"schedule lr must be positive, got {self.lr}")
+        if self.target_exact_match is not None and not 0.0 <= self.target_exact_match <= 1.0:
+            raise ContractError("schedule target_exact_match must lie in [0, 1], "
+                                f"got {self.target_exact_match}")
 
 
 @dataclass
@@ -84,13 +87,22 @@ class ModelBundle:
     def quantize_words(self, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
         return self.quantize_ids(sentences_to_ids([words], self.vocab))[0]
 
-    def decode_ids(self, latents: np.ndarray, max_len: int | None = None) -> list[list[int]]:
-        """Greedy decodes of a stack of same-length latents [B, L, d], one per row."""
-        return md.greedy_generate(latents, self.params, self.config,
-                                  max_len or self.config.max_len,
-                                  start_id=self.vocab.START, end_id=self.vocab.END)
+    def decode_ids(self, latents, max_len: int | None = None) -> list[list[int]]:
+        """Greedy decodes of latent sequences [L, d] of any lengths, in input order.
+        A decode depends only on its sequence, so each distinct one (by shape and
+        float32 bytes) is decoded once, and each length in one stack."""
+        def generate(stack: np.ndarray) -> list[list[int]]:
+            return md.greedy_generate(stack, self.params, self.config,
+                                      max_len or self.config.max_len,
+                                      start_id=self.vocab.START, end_id=self.vocab.END)
 
-    def decode_words(self, latents: np.ndarray, max_len: int | None = None) -> list[list[str]]:
+        latents = [np.asarray(rows, dtype=np.float32) for rows in latents]
+        keys = [(rows.shape, rows.tobytes()) for rows in latents]
+        distinct = dict(zip(keys, latents))
+        decodes = dict(zip(distinct, by_length(generate, list(distinct.values()))))
+        return [decodes[key] for key in keys]
+
+    def decode_words(self, latents, max_len: int | None = None) -> list[list[str]]:
         return [[self.vocab.word_of(i) for i in row] for row in self.decode_ids(latents, max_len)]
 
     def wmd_embeddings(self, sentences: list[list[str]]) -> list[np.ndarray]:

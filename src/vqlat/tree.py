@@ -205,14 +205,14 @@ def default_margins(train_points) -> np.ndarray:
 
 
 def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
-                codebook: Codebook, decode_fn) -> list:
+                codebook: Codebook) -> np.ndarray:
     """Walk the sentence across region boundaries one dimension at a time.
 
     Each unsatisfied constraint sets the pooled dimension just inside the
     required side of its threshold; the pooled delta is broadcast onto every
-    token row.  All edits are re-quantized in one call and decoded in one
-    ``decode_fn`` call.  Returns one decoded sentence per edit, cumulative; a
-    sentence already satisfying the whole path yields only its original decoding.
+    token row.  All edits are re-quantized in one call.  Returns the quantized
+    rows of every edit, cumulative, as one ``[edits, L, d]`` stack; a sentence
+    already satisfying the whole path yields only its own quantized rows.
     """
     rows = np.asarray(sentence_rows, dtype=np.float64).copy()
     pooled = rows.mean(axis=0)
@@ -237,7 +237,7 @@ def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
         moved.append(rows.astype(np.float32))
     moved = moved or [rows.astype(np.float32)]
     _, quantized = quantize_kmeans(np.concatenate(moved), codebook)
-    return decode_fn(quantized.reshape(len(moved), *rows.shape))
+    return quantized.reshape(len(moved), *rows.shape)
 
 
 def cross_region_consistency(decoded_sentences: list, extractor, target) -> float:

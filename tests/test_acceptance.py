@@ -375,12 +375,18 @@ def test_criterion_07_interpolation_suite(trained_fixture):
         pad = bundle.end_token_latent()
         rng = np.random.default_rng(77)
 
+        def smoothness(path):
+            decoded = bundle.decode_words([step.latents for step in path.steps])
+            distinct = list(dict.fromkeys(tuple(words) for words in decoded))
+            embeddings = dict(zip(distinct, bundle.wmd_embeddings(distinct)))
+            return geo.interpolation_smoothness(decoded, embeddings)
+
         scores = []
         for _ in range(100):
             i, j = int(rng.integers(len(tokens))), int(rng.integers(len(tokens)))
             src_idx, src = bundle.quantize_words(tokens[i])
             tgt_idx, tgt = bundle.quantize_words(tokens[j])
-            path = geo.interpolate(src, tgt, codebook, bundle.decode_words, pad_latent=pad)
+            path = geo.interpolate(src, tgt, codebook, pad_latent=pad)
             for step in path.steps:
                 for row in step.latents:
                     assert row.tobytes() in entry_set
@@ -388,7 +394,7 @@ def test_criterion_07_interpolation_suite(trained_fixture):
             assert path.steps[0].indices.shape[0] == length
             np.testing.assert_array_equal(path.steps[0].latents[:len(tokens[i])], src)
             np.testing.assert_array_equal(path.steps[-1].latents[:len(tokens[j])], tgt)
-            score = geo.interpolation_smoothness(path, bundle.wmd_embeddings)
+            score = smoothness(path)
             assert score <= 1 + 1e-9
             scores.append(score)
         print(f"    interpolation smoothness over 100 pairs: "
@@ -396,8 +402,8 @@ def test_criterion_07_interpolation_suite(trained_fixture):
 
         # source == target collapses to the degenerate path
         _, src = bundle.quantize_words(tokens[0])
-        path = geo.interpolate(src, src.copy(), codebook, bundle.decode_words)
-        assert geo.interpolation_smoothness(path, bundle.wmd_embeddings) == 1.0
+        path = geo.interpolate(src, src.copy(), codebook)
+        assert smoothness(path) == 1.0
 
         for case in range(30):
             case_rng = np.random.default_rng(1000 + case)
@@ -449,8 +455,8 @@ def test_criterion_08_tree_suite(region_fixture):
         path = tc.extract_path(tree, "means")
         margins = tc.default_margins(pooled) * 64.0
         assert len(cause) == 100
-        finals = [tc.guided_move(cache[s.text()], path, margins, bundle.codebook,
-                                 bundle.decode_words)[-1] for s in cause]
+        finals = bundle.decode_words([tc.guided_move(cache[s.text()], path, margins,
+                                                     bundle.codebook)[-1] for s in cause])
         consistency = tc.cross_region_consistency(finals, cg.extract_relation, "means")
         print(f"    cause->mean cross-region consistency: {consistency:.2f}")
         assert consistency >= 0.60, f"consistency {consistency:.3f}"
@@ -471,7 +477,7 @@ def test_criterion_09_substitution_suite(inference_fixture):
                                      bundle.quantize_words(inst.premise1.tokens)[1])
             p2 = geo.SentenceLatents(inst.premise2.tokens, inst.premise2.roles,
                                      bundle.quantize_words(inst.premise2.tokens)[1])
-            return geo.substitute_and_decode(p1, p2, inst.op, bundle.decode_words)
+            return bundle.decode_words([geo.substitute(p1, p2, inst.op)])[0]
 
         hits = sum(run(inst) == inst.conclusion.tokens for inst in instances)
         rate = hits / len(instances)

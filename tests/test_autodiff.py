@@ -113,12 +113,6 @@ class TestBackwardSemantics:
         ad.backward(ad.sum_(w))
         np.testing.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
 
-    def test_stop_gradient_factor_treated_as_constant(self):
-        w = Tensor([2.0, -1.0, 0.5], requires_grad=True, dtype=np.float64)
-        loss = ad.sum_(ad.mul(ad.stop_gradient(w), w))
-        ad.backward(loss)
-        np.testing.assert_allclose(w.grad, w.data)
-
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ContractError):
@@ -130,12 +124,6 @@ class TestBackwardSemantics:
         ad.backward(loss)
         ad.backward(loss)
         np.testing.assert_array_equal(w.grad, [2.0] * 4)
-
-    def test_stop_gradient_forward_identity(self):
-        x = Tensor(np.linspace(-1, 1, 7))
-        y = ad.stop_gradient(x)
-        assert y.stop_gradient
-        np.testing.assert_array_equal(y.data, x.data)
 
     def test_two_layer_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(3)

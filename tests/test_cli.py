@@ -15,10 +15,10 @@ from vqlat import model as md
 from vqlat import quantizer
 from vqlat.cli import main
 from vqlat.reports import fmt
-from vqlat.training import save_bundle
+from vqlat.training import ModelBundle, save_bundle
 
 from tests.conftest import train_bundle
-from tests.oracles import sq_dists_scan
+from tests.oracles import greedy_generate_one, sq_dists_scan
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ class TestGenCorpus:
         assert main(["gen-corpus", "--kind", "grammar", "--seed", "3",
                      "--count", "50", "--out", str(out2)]) == 0
         assert (out1 / "sentences.txt").read_bytes() == (out2 / "sentences.txt").read_bytes()
-        assert (out1 / "vocab.txt").exists()
+        assert sorted(p.name for p in out1.iterdir()) == ["sentences.txt"]
         assert len(cg.load_corpus(out1 / "sentences.txt")) == 50
 
     def test_math_outputs_all_splits(self, tmp_path):
@@ -142,6 +142,10 @@ BAD_RUN_CONFIGS = [
     ("negative_batch_size", lambda c: {**c, "schedule": {**c["schedule"], "batch_size": -2}}),
     ("zero_check_every", lambda c: {**c, "schedule": {**c["schedule"], "check_every": 0,
                                                       "target_exact_match": 0.5}}),
+    ("target_above_one", lambda c: {**c, "schedule": {**c["schedule"], "target_exact_match": 5}}),
+    ("negative_target", lambda c: {**c, "schedule": {**c["schedule"], "target_exact_match": -1}}),
+    ("nan_target", lambda c: {**c, "schedule": {**c["schedule"],
+                                                "target_exact_match": float("nan")}}),
     ("odd_d_model", lambda c: {**c, "model": {**c["model"], "d_model": 5, "n_heads": 1}}),
     ("zero_d_model", lambda c: {**c, "model": {**c["model"], "d_model": 0}}),
     ("zero_codebook_size", lambda c: {**c, "schedule": {**c["schedule"], "codebook_size": 0}}),
@@ -346,20 +350,38 @@ def run_every_command(ckpt: str, corpus: str, sentence: str, root: Path, capsys)
     return streams, files
 
 
+def assert_outputs_unchanged(tiny_ckpt, root: Path, capsys, patch):
+    """Every command's exit code, streams and file bytes are the same before and
+    after ``patch()`` swaps in a reference implementation."""
+    args = (tiny_ckpt["ckpt"], tiny_ckpt["corpus"], tiny_ckpt["sentences"][0].text(), root, capsys)
+    shipped = run_every_command(*args)
+    shutil.rmtree(root)
+    patch()
+    reference = run_every_command(*args)
+    assert shipped[0] == reference[0]
+    assert shipped[1].keys() == reference[1].keys() and len(shipped[1]) >= 10
+    for name, blob in shipped[1].items():
+        assert blob == reference[1][name], name
+    assert all(code == 0 for _, code, _, _ in shipped[0])
+
+
 def test_outputs_equal_difference_form_argmin(tiny_ckpt, tmp_path, capsys, monkeypatch):
     """The shortlisted nearest-entry search changes no output of any command."""
-    args = (tiny_ckpt["ckpt"], tiny_ckpt["corpus"], tiny_ckpt["sentences"][0].text(),
-            tmp_path / "out", capsys)
-    shipped = run_every_command(*args)
-    shutil.rmtree(tmp_path / "out")
-    monkeypatch.setattr(quantizer, "nearest_entries",
-                        lambda vectors, entries: np.argmin(sq_dists_scan(vectors, entries), axis=1))
-    scanned = run_every_command(*args)
-    assert shipped[0] == scanned[0]
-    assert shipped[1].keys() == scanned[1].keys() and len(shipped[1]) >= 10
-    for name, blob in shipped[1].items():
-        assert blob == scanned[1][name], name
-    assert all(code == 0 for _, code, _, _ in shipped[0])
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys, lambda: monkeypatch.setattr(
+        quantizer, "nearest_entries",
+        lambda vectors, entries: np.argmin(sq_dists_scan(vectors, entries), axis=1)))
+
+
+def test_outputs_equal_one_sequence_decodes(tiny_ckpt, tmp_path, capsys, monkeypatch):
+    """Pooling every command's latents into one deduplicated decode call changes
+    no output: each sequence decoded alone by the oracle gives the same bytes."""
+    def one_at_a_time(bundle, latents, max_len=None):
+        return [greedy_generate_one(rows, bundle.params, bundle.config,
+                                    max_len or bundle.config.max_len,
+                                    bundle.vocab.START, bundle.vocab.END) for rows in latents]
+
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys,
+                             lambda: monkeypatch.setattr(ModelBundle, "decode_ids", one_at_a_time))
 
 
 class TestExitCodes:

@@ -176,17 +176,8 @@ class TestFileFormats:
         assert [e.tokens for e in loaded] == [e.tokens for e in exprs]
         assert all(e.split_tag == "EQ" for e in loaded)
 
-    def test_vocab_round_trip_line_number_is_id_minus_offset(self, tmp_path):
-        vocab = cg.build_vocab([["cat", "ant", "bee"]])
-        path = tmp_path / "vocab.txt"
-        cg.save_vocab(path, vocab)
-        lines = path.read_text().splitlines()
-        for line_no, word in enumerate(lines):
-            assert vocab.id_of(word) == line_no + 4
-        assert cg.load_vocab(path).words == vocab.words
-
-    @pytest.mark.parametrize("load", [cg.load_corpus, cg.load_math_corpus, cg.load_vocab],
-                             ids=["corpus", "math", "vocab"])
+    @pytest.mark.parametrize("load", [cg.load_corpus, cg.load_math_corpus],
+                             ids=["corpus", "math"])
     def test_non_utf8_file_is_input_error_naming_it(self, tmp_path, load):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"a/O \xff\xfe/ARG1 is/PRED\n")

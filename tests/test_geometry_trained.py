@@ -13,8 +13,8 @@ class TestTraversalLocality:
         bundle = inference_fixture["bundle"]
         shark = ["a", "shark", "is", "a", "kind", "of", "fish"]
         _, rows = bundle.quantize_words(shark)
-        [original] = bundle.decode_words(rows[None])
-        variants = geo.traverse_position(rows, 0, bundle.codebook, 10, bundle.decode_words)
+        [original] = bundle.decode_words([rows])
+        variants = bundle.decode_words(geo.traverse_position(rows, 0, bundle.codebook, 10))
         local = sum(all(abs(p - 0) <= 2 for p in differing_positions(v, original))
                     for v in variants)
         assert local / len(variants) >= 0.7
@@ -23,7 +23,7 @@ class TestTraversalLocality:
         bundle = inference_fixture["bundle"]
         shark = ["a", "shark", "is", "a", "kind", "of", "fish"]
         _, rows = bundle.quantize_words(shark)
-        variants = geo.traverse_position(rows, 1, bundle.codebook, 1, bundle.decode_words)
+        variants = bundle.decode_words(geo.traverse_position(rows, 1, bundle.codebook, 1))
         assert variants[0] == shark
 
 

@@ -96,7 +96,6 @@ class TestTrainModel:
         with pytest.raises(ContractError):
             make_schedule(lr=float("nan"))
 
-
 class TestLengthBatches:
     def test_shuffled_batches_follow_the_per_length_shuffle(self):
         tokens = small_corpus(40)
@@ -140,6 +139,33 @@ class TestMemorization:
                                     len(row) + 2, bundle.vocab.START, bundle.vocab.END)
                 for row in ids]
         assert reconstruct(bundle, ids)[0] == want
+
+    def test_decode_ids_decodes_each_distinct_sequence_once_per_length(
+            self, memorization_fixture, monkeypatch):
+        bundle = memorization_fixture["bundle"]
+        quantized = [rows for _, rows in bundle.quantize_ids(
+            sentences_to_ids(memorization_fixture["tokens"], bundle.vocab))]
+        # mixed lengths, repeats, and an equal copy that is a different array
+        latents = [quantized[i] for i in (3, 0, 3, 1, 0, 2, 3)] + [quantized[1].copy()]
+        distinct = {rows.tobytes(): rows for rows in latents}
+        lengths = {len(rows) for rows in distinct.values()}
+        assert len(lengths) > 1 and len(distinct) < len(latents)
+        stacks = []
+        greedy_generate = md.greedy_generate
+
+        def spy(stack, *args, **kwargs):
+            stacks.append(np.array(stack))
+            return greedy_generate(stack, *args, **kwargs)
+
+        monkeypatch.setattr(md, "greedy_generate", spy)
+        got = bundle.decode_ids(latents)
+        monkeypatch.undo()
+        want = [greedy_generate_one(rows, bundle.params, bundle.config, bundle.config.max_len,
+                                    bundle.vocab.START, bundle.vocab.END) for rows in latents]
+        assert got == want
+        assert sorted(stack.shape[1] for stack in stacks) == sorted(lengths)
+        passed = [rows.tobytes() for stack in stacks for rows in stack]
+        assert sorted(passed) == sorted(distinct)
 
     def test_deterministic_generation(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]

@@ -180,46 +180,37 @@ class TestGuidedMove:
         entries = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], dtype=np.float32)
         codebook = Codebook(entries)
 
-        def decode(quantized):
-            return [[int(i) for i in quantize_kmeans(rows, codebook)[0]]
-                    for rows in np.asarray(quantized, dtype=np.float32)]
+        def entry_indices(stack):
+            return [[int(i) for i in quantize_kmeans(rows, codebook)[0]] for rows in stack]
 
-        return codebook, decode
+        return codebook, entry_indices
 
     def test_already_in_target_leaf_one_output_no_edits(self, setup):
-        codebook, decode = setup
+        codebook, _ = setup
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
         rows = np.array([[0.9, 0.0], [0.9, 1.0]])
-        outputs = tc.guided_move(rows, path, 0.05, codebook, decode)
-        assert outputs == decode(codebook.entries[[2, 3]][None])
+        outputs = tc.guided_move(rows, path, 0.05, codebook)
+        np.testing.assert_array_equal(outputs, codebook.entries[[2, 3]][None])
 
     def test_edit_crosses_threshold_and_flips_decoding(self, setup):
-        codebook, decode = setup
+        codebook, entry_indices = setup
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
         rows = np.array([[0.0, 0.0], [0.0, 1.0]])  # pooled dim0 = 0.0
-        outputs = tc.guided_move(rows, path, 0.45, codebook, decode)
-        assert len(outputs) == 1
-        assert outputs[0] == [2, 3]
+        outputs = tc.guided_move(rows, path, 0.45, codebook)
+        assert entry_indices(outputs) == [[2, 3]]
 
     def test_each_edit_changes_one_pooled_dimension(self, setup):
-        codebook, decode = setup
+        codebook, _ = setup
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">"),
                             tc.PathConstraint(1, 0.4, "<=")], {}, 1)
         rows = np.array([[0.0, 0.9], [0.0, 0.9]])
-        calls = []
-
-        def capture(quantized):
-            calls.append([np.asarray(q) for q in quantized])
-            return decode(quantized)
-
-        outputs = tc.guided_move(rows, path, 0.1, codebook, capture)
-        assert len(outputs) == 2
-        [edits] = calls  # every edit rides in one decode call
+        edits = tc.guided_move(rows, path, 0.1, codebook)
+        assert edits.shape == (2, 2, 2)  # every edit rides in the one returned stack
         # quantized pooled rows: dim 0 crosses first, then dim 1
         assert [e.mean(axis=0).tolist() for e in edits] == [[1.0, 1.0], [1.0, 0.0]]
 
     def test_final_pooled_latent_classified_as_target(self, setup):
-        codebook, decode = setup
+        codebook, _ = setup
         rng = np.random.default_rng(5)
         pos = rng.normal([1.5, 0.0], 0.2, size=(30, 2))
         neg = rng.normal([-1.5, 0.0], 0.2, size=(30, 2))
@@ -229,7 +220,7 @@ class TestGuidedMove:
         path = tc.extract_path(tree, 1)
         rows = np.array([[-1.5, 0.3], [-1.5, -0.3]])
         margins = tc.default_margins(points)
-        tc.guided_move(rows, path, margins, codebook, decode)
+        tc.guided_move(rows, path, margins, codebook)
         edited = rows.mean(axis=0).copy()
         for c in path.steps:
             eps = margins[c.dim]
@@ -240,10 +231,10 @@ class TestGuidedMove:
         assert tree.predict_one(edited) == 1
 
     def test_margin_must_be_positive(self, setup):
-        codebook, decode = setup
+        codebook, _ = setup
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
         with pytest.raises(ContractError):
-            tc.guided_move(np.zeros((2, 2)), path, 0.0, codebook, decode)
+            tc.guided_move(np.zeros((2, 2)), path, 0.0, codebook)
 
 
 class TestConsistency:
