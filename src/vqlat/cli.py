@@ -181,8 +181,8 @@ def _interpolation_pairs(args, count: int) -> list[tuple[int, int]]:
 
 
 def _decode_groups(bundle: ModelBundle, groups) -> list[list[list[str]]]:
-    """Decodes of every latent sequence [L, d] of every group, from one decode
-    call, grouped as the sequences were."""
+    """Decodes of every entry-index row of every group, from one decode call,
+    grouped as the rows were."""
     decoded = iter(bundle.decode_words([rows for group in groups for rows in group]))
     return [[next(decoded) for _ in group] for group in groups]
 
@@ -191,14 +191,14 @@ def cmd_interpolate(args) -> int:
     bundle = load_bundle(args.checkpoint)
     tokens = _load_tokens(args.corpus)
     pairs = _interpolation_pairs(args, len(tokens))
-    pad = bundle.end_token_latent()
+    pad = bundle.end_token_index()
 
     ends = sorted({k for pair in pairs for k in pair})
-    latents = dict(zip(ends, (rows for _, rows in bundle.quantize_ids(
+    indices = dict(zip(ends, (idx for idx, _ in bundle.quantize_ids(
         sentences_to_ids([tokens[k] for k in ends], bundle.vocab)))))
-    paths = [geo.interpolate(latents[i], latents[j], bundle.codebook, pad_latent=pad)
+    paths = [geo.interpolate(indices[i], indices[j], bundle.codebook, pad_index=pad)
              for i, j in pairs]
-    decodes = _decode_groups(bundle, [[step.latents for step in path.steps] for path in paths])
+    decodes = _decode_groups(bundle, [[step.indices for step in path.steps] for path in paths])
     distinct = list(dict.fromkeys(tuple(words) for steps in decodes for words in steps))
     embeddings = dict(zip(distinct, bundle.wmd_embeddings(distinct)))
     scores = [geo.interpolation_smoothness(steps, embeddings) for steps in decodes]
@@ -225,8 +225,8 @@ def _known_words(bundle: ModelBundle, sentence: str) -> list[str]:
 
 def cmd_traverse(args) -> int:
     bundle = load_bundle(args.checkpoint)
-    _, quantized = bundle.quantize_words(_known_words(bundle, args.sentence))
-    variants = bundle.decode_words(geo.traverse_position(quantized, args.position,
+    indices, _ = bundle.quantize_words(_known_words(bundle, args.sentence))
+    variants = bundle.decode_words(geo.traverse_position(indices, args.position,
                                                          bundle.codebook, args.n))
     for k, variant in enumerate(variants):
         print(f"variant {k}: {' '.join(variant)}")
@@ -235,10 +235,9 @@ def cmd_traverse(args) -> int:
 
 def cmd_arith(args) -> int:
     bundle = load_bundle(args.checkpoint)
-    _, a = bundle.quantize_words(_known_words(bundle, args.a))
-    _, b = bundle.quantize_words(_known_words(bundle, args.b))
-    _, summed = geo.latent_arithmetic_add(a, b, bundle.codebook)
-    print(" ".join(bundle.decode_words([summed])[0]))
+    a, _ = bundle.quantize_words(_known_words(bundle, args.a))
+    b, _ = bundle.quantize_words(_known_words(bundle, args.b))
+    print(" ".join(bundle.decode_words([geo.latent_arithmetic_add(a, b, bundle.codebook)])[0]))
     return 0
 
 
@@ -350,19 +349,18 @@ def cmd_infer(args) -> int:
         generated = cg.generate_inference_instances(args.seed, args.generate, ops=(args.op,))
         instances = [(i.premise1, i.premise2, i.conclusion.tokens) for i in generated]
 
-    and_latent = None
+    and_index = None
     if args.op == "conjunction":
         carrier = next((p1.tokens for p1, _, _ in instances if "and" in p1.tokens), None)
-        and_latent = bundle.connective_latent(carrier) if carrier else \
-            bundle.connective_latent(["a", "shark", "can", "swim", "and", "fly"])
+        and_index = bundle.connective_index(carrier or ["a", "shark", "can", "swim", "and", "fly"])
 
     premises = [p for p1, p2, _ in instances for p in (p1, p2)]
     quantized = bundle.quantize_ids(sentences_to_ids([p.tokens for p in premises], bundle.vocab))
-    latents = [geo.SentenceLatents(p.tokens, p.roles, rows)
-               for p, (_, rows) in zip(premises, quantized)]
+    latents = [geo.SentenceLatents(p.tokens, p.roles, indices)
+               for p, (indices, _) in zip(premises, quantized)]
 
     # raises NoAnchorError (exit 3) where derive_conclusion gave None
-    hybrids = [geo.substitute(s1, s2, args.op, and_latent=and_latent)
+    hybrids = [geo.substitute(s1, s2, args.op, bundle.codebook, and_index=and_index)
                for s1, s2 in zip(latents[::2], latents[1::2])]
     lines = []
     hits = 0

@@ -1,11 +1,11 @@
 """Latent-space control and measurement.
 
-Everything here operates on quantized latent rows and a codebook snapshot:
-interpolation paths with their smoothness ratio, exact optimal-transport
-alignment between embedding bags, per-position traversal, latent addition,
-role-content dispersion statistics, and span substitution between premises.
-All functions are pure given the codebook snapshot; none decodes, so the
-control functions return the latent rows they build.
+Everything here operates on quantized latents, as rows of codebook entry
+indices, and a codebook snapshot: interpolation paths with their smoothness
+ratio, exact optimal-transport alignment between embedding bags, per-position
+traversal, latent addition, role-content dispersion statistics, and span
+substitution between premises.  All functions are pure given the codebook
+snapshot; none decodes, so the control functions return the indices they build.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .quantizer import Codebook, pairwise_sq_dists, quantize_kmeans
 @dataclass
 class PathStep:
     t: float
-    latents: np.ndarray
     indices: np.ndarray
 
 
@@ -41,42 +40,31 @@ def _euclidean_to_entries(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
-                step_size: float = 0.1,
-                pad_latent: np.ndarray | None = None) -> InterpolationPath:
-    """Stepwise path from source to target latent rows.
+                step_size: float = 0.1, pad_index: int | None = None) -> InterpolationPath:
+    """Stepwise path from source to target entry indices.
 
-    At each step every row moves to the entry minimizing the weighted pair of
-    distances ``(1-t)*d(previous, entry) + t*d(target, entry)``, so the final
-    step lands exactly on the target entries.  Unequal lengths require a
-    ``pad_latent`` row (appended to the shorter sequence) and are otherwise
+    At each step every position moves to the entry minimizing the weighted
+    pair of distances ``(1-t)*d(previous, entry) + t*d(target, entry)``, so the
+    final step lands exactly on the target entries.  Unequal lengths require a
+    ``pad_index`` entry (appended to the shorter sequence) and are otherwise
     rejected.
     """
-    source = np.asarray(source, dtype=np.float32)
-    target = np.asarray(target, dtype=np.float32)
-    if source.shape[0] != target.shape[0]:
-        if pad_latent is None:
+    source = codebook.check_indices(source, "interpolate source")
+    target = codebook.check_indices(target, "interpolate target")
+    if len(source) != len(target):
+        if pad_index is None:
             raise ContractError(
-                f"length mismatch {source.shape[0]} vs {target.shape[0]} and no pad latent given")
-        pad = np.asarray(pad_latent, dtype=np.float32).reshape(1, -1)
-        while source.shape[0] < target.shape[0]:
-            source = np.concatenate([source, pad])
-        while target.shape[0] < source.shape[0]:
-            target = np.concatenate([target, pad])
+                f"length mismatch {len(source)} vs {len(target)} and no pad index given")
+        pad = codebook.check_indices(pad_index, "interpolate pad")
+        length = max(len(source), len(target))
+        source, target = (np.concatenate([idx, np.full(length - len(idx), pad)])
+                          for idx in (source, target))
+    if not 0.0 < step_size <= 1.0:
+        raise ContractError(f"step_size must lie in (0, 1], got {step_size}")
     entries = codebook.entries
-    # Every row on the path is an entry, so each distinct entry's exact row of
-    # distances to the codebook is computed once and gathered by index.
+    # Every position on the path is an entry, so each distinct entry's exact
+    # row of distances to the codebook is computed once and gathered by index.
     memo: dict[int, np.ndarray] = {}
-
-    def endpoint_indices(rows: np.ndarray, name: str) -> np.ndarray:
-        # each row must equal an entry exactly; its distance row seeds the memo
-        if rows.ndim != 2 or rows.shape[1] != codebook.dim:
-            raise ShapeError(f"{name}: expected [L, {codebook.dim}] latents, got {rows.shape}")
-        dists = _euclidean_to_entries(rows, entries)
-        idx = np.argmin(dists, axis=1)
-        if dists.min(axis=1).any():
-            raise ContractError(f"{name}: latent rows must be codebook entries")
-        memo.update(zip(idx.tolist(), dists))
-        return idx
 
     def entry_dists(idx: np.ndarray) -> np.ndarray:
         new = sorted({int(i) for i in idx} - memo.keys())
@@ -84,20 +72,14 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
             memo.update(zip(new, _euclidean_to_entries(entries[new], entries)))
         return np.stack([memo[int(i)] for i in idx])
 
-    src_idx = endpoint_indices(source, "interpolate source")
-    tgt_idx = endpoint_indices(target, "interpolate target")
-    if not 0.0 < step_size <= 1.0:
-        raise ContractError(f"step_size must lie in (0, 1], got {step_size}")
-    tgt_dists = entry_dists(tgt_idx)
+    tgt_dists = entry_dists(target)
     n_steps = round(1.0 / step_size)
-    points = [(0.0, source.copy(), src_idx.copy())]
-    idx = src_idx
+    steps = [PathStep(0.0, source.copy())]
     for k in range(1, n_steps + 1):
         t = min(k * step_size, 1.0) if k < n_steps else 1.0
-        cost = (1.0 - t) * entry_dists(idx) + t * tgt_dists
-        idx = np.argmin(cost, axis=1)
-        points.append((t, entries[idx], idx))
-    return InterpolationPath([PathStep(*p) for p in points], step_size)
+        cost = (1.0 - t) * entry_dists(steps[-1].indices) + t * tgt_dists
+        steps.append(PathStep(t, np.argmin(cost, axis=1)))
+    return InterpolationPath(steps, step_size)
 
 
 def dump_path(path: InterpolationPath, decoded: Sequence[Sequence]) -> str:
@@ -176,35 +158,33 @@ def interpolation_smoothness(decoded: Sequence[Sequence],
 # -- traversal and arithmetic ------------------------------------------------------
 
 
-def traverse_position(latents: np.ndarray, position: int, codebook: Codebook,
+def traverse_position(indices: np.ndarray, position: int, codebook: Codebook,
                       n_variants: int) -> np.ndarray:
-    """Variants ``[n_variants, L, d]`` that swap one latent row for its nearest
-    neighbours.
+    """Variants ``[n_variants, L]`` of an index row that swap the entry at one
+    position for its nearest neighbours.
 
-    The first variant keeps the row itself (its nearest entry); the rest use
-    the next-nearest entries in distance order.
+    The first variant keeps the entry itself (its own nearest entry); the rest
+    use the next-nearest entries in distance order.
     """
-    latents = np.asarray(latents, dtype=np.float32)
-    if not 0 <= position < latents.shape[0]:
-        raise ContractError(f"position {position} outside sequence of {latents.shape[0]} rows")
+    indices = codebook.check_indices(indices, "traverse indices")
+    if not 0 <= position < len(indices):
+        raise ContractError(f"position {position} outside sequence of {len(indices)} rows")
     if not 1 <= n_variants <= codebook.size:
         raise ContractError(f"n_variants must lie in [1, {codebook.size}], got {n_variants}")
-    dists = _euclidean_to_entries(latents[position:position + 1], codebook.entries)[0]
-    order = np.argsort(dists, kind="stable")[:n_variants]
-    variants = np.repeat(latents[None], n_variants, axis=0)
-    variants[:, position] = codebook.entries[order]
+    dists = _euclidean_to_entries(codebook.entries[indices[position:position + 1]],
+                                  codebook.entries)[0]
+    variants = np.repeat(indices[None], n_variants, axis=0)
+    variants[:, position] = np.argsort(dists, kind="stable")[:n_variants]
     return variants
 
 
-def latent_arithmetic_add(a: np.ndarray, b: np.ndarray,
-                          codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Position-wise sum over the shared prefix, re-quantized: its entry indices
-    and quantized rows."""
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    rows = min(a.shape[0], b.shape[0])
-    total = a[:rows] + b[:rows]
-    return quantize_kmeans(total, codebook)
+def latent_arithmetic_add(a: np.ndarray, b: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Entry indices of the position-wise sum of two index rows' entries over
+    their shared prefix, re-quantized."""
+    a = codebook.check_indices(a, "arithmetic operand a")
+    b = codebook.check_indices(b, "arithmetic operand b")
+    rows = min(len(a), len(b))
+    return quantize_kmeans(codebook.entries[a[:rows]] + codebook.entries[b[:rows]], codebook)[0]
 
 
 # -- disentanglement statistics ------------------------------------------------------
@@ -258,25 +238,25 @@ def disentanglement_stats(occurrences: Sequence[tuple[list[str], list[str], np.n
 class SentenceLatents:
     tokens: list[str]
     roles: list[str]
-    latents: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
-        self.latents = np.asarray(self.latents, dtype=np.float32)
-        if len(self.tokens) != len(self.roles) or self.latents.shape[0] != len(self.tokens):
-            raise ContractError("tokens, roles, and latent rows must align")
+        if not len(self.tokens) == len(self.roles) == len(self.indices):
+            raise ContractError("tokens, roles, and entry indices must align")
 
 
-def substitute(p1: SentenceLatents, p2: SentenceLatents, op: str,
-               and_latent: np.ndarray | None = None) -> np.ndarray:
+def substitute(p1: SentenceLatents, p2: SentenceLatents, op: str, codebook: Codebook,
+               and_index: int | None = None) -> np.ndarray:
     """Latent-space inference over two premises; returns the conclusion's
-    hybrid latent rows ``[L, d]``.
+    hybrid entry indices ``[L]``.
 
-    The hybrid concatenates the latent rows of :func:`inference_plan`'s
-    slices, with ``and_latent`` as the connective's row.
+    The hybrid concatenates the index slices of :func:`inference_plan`, with
+    ``and_index`` as the connective's entry.
     """
-    if op == "conjunction" and and_latent is None:
-        raise ContractError("conjunction requires the connective's codebook latent")
-    rows = (p1.latents, p2.latents)
-    hybrid = [np.asarray(and_latent, dtype=np.float32).reshape(1, -1) if piece is None
+    if op == "conjunction" and and_index is None:
+        raise ContractError("conjunction requires the connective's codebook index")
+    rows = (codebook.check_indices(p1.indices, "first premise"),
+            codebook.check_indices(p2.indices, "second premise"))
+    hybrid = [codebook.check_indices([and_index], "connective index") if piece is None
               else rows[piece[0]][piece[1]:piece[2]] for piece in inference_plan(p1, p2, op)]
     return np.concatenate(hybrid)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, InputError, ShapeError
-from .reports import DictCodec, atomic_write_bytes
+from .reports import DictCodec, atomic_write_bytes, canonical_json
 
 CHECKPOINT_MAGIC = b"VQL1"
 NEG_INF = -1e9
@@ -250,14 +250,10 @@ def greedy_generate(latents, params: ModelParams, config: ModelConfig,
 # record: u32 name length | name UTF-8 | u32 rank | u32 dims... | f32 data (LE)
 
 
-def _canonical_json(blob: dict) -> bytes:
-    return json.dumps(blob, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def write_checkpoint_bytes(config_blob: dict, tensors: dict[str, np.ndarray]) -> bytes:
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
-    config_bytes = _canonical_json(config_blob)
+    config_bytes = canonical_json(config_blob).encode("utf-8")
     buf.write(struct.pack("<I", len(config_bytes)))
     buf.write(config_bytes)
     for name, array in tensors.items():

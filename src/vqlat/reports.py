@@ -1,9 +1,10 @@
 """Small I/O helpers: strict UTF-8 reads, atomic writes, strict config
-(de)serialization and deterministic number formatting."""
+(de)serialization, canonical JSON and deterministic number formatting."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import tempfile
 
@@ -80,6 +81,11 @@ class DictCodec:
             if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
                 raise ContractError(f"{cls.__name__}.{name}: expected {annotations[name]}, got {value!r}")
         return cls(**d)
+
+
+def canonical_json(blob) -> str:
+    """Sorted keys and no whitespace, so equal values always give equal bytes."""
+    return json.dumps(blob, sort_keys=True, separators=(",", ":"))
 
 
 def fmt(value: float) -> str:

@@ -87,23 +87,24 @@ class ModelBundle:
     def quantize_words(self, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
         return self.quantize_ids(sentences_to_ids([words], self.vocab))[0]
 
-    def decode_ids(self, latents, max_len: int | None = None) -> list[list[int]]:
-        """Greedy decodes of latent sequences [L, d] of any lengths, in input order.
-        A decode depends only on its sequence, so each distinct one (by shape and
-        float32 bytes) is decoded once, and each length in one stack."""
+    def decode_ids(self, indices, max_len: int | None = None) -> list[list[int]]:
+        """Greedy decodes of entry-index rows [L] of any lengths, in input order.
+        A decode depends only on its row, so each distinct row is decoded once,
+        and each length as one stack of the entries it gathers."""
         def generate(stack: np.ndarray) -> list[list[int]]:
-            return md.greedy_generate(stack, self.params, self.config,
+            return md.greedy_generate(self.codebook.entries[stack], self.params, self.config,
                                       max_len or self.config.max_len,
                                       start_id=self.vocab.START, end_id=self.vocab.END)
 
-        latents = [np.asarray(rows, dtype=np.float32) for rows in latents]
-        keys = [(rows.shape, rows.tobytes()) for rows in latents]
-        distinct = dict(zip(keys, latents))
-        decodes = dict(zip(distinct, by_length(generate, list(distinct.values()))))
+        keys = [tuple(self.codebook.check_indices(row, "decode indices").tolist())
+                for row in indices]
+        distinct = list(dict.fromkeys(keys))
+        decodes = dict(zip(distinct, by_length(generate, [np.array(key, dtype=np.intp)
+                                                          for key in distinct])))
         return [decodes[key] for key in keys]
 
-    def decode_words(self, latents, max_len: int | None = None) -> list[list[str]]:
-        return [[self.vocab.word_of(i) for i in row] for row in self.decode_ids(latents, max_len)]
+    def decode_words(self, indices, max_len: int | None = None) -> list[list[str]]:
+        return [[self.vocab.word_of(i) for i in row] for row in self.decode_ids(indices, max_len)]
 
     def wmd_embeddings(self, sentences: list[list[str]]) -> list[np.ndarray]:
         """Quantized latents of each word sequence; an empty sequence falls back to
@@ -112,16 +113,22 @@ class ModelBundle:
                for row in sentences_to_ids(sentences, self.vocab)]
         return [rows for _, rows in self.quantize_ids(ids)]
 
-    def end_token_latent(self) -> np.ndarray:
-        """Codebook entry nearest the end marker's embedding; used as padding."""
-        return self.wmd_embeddings([[]])[0][0]
+    def end_token_index(self) -> int:
+        """Index of the entry nearest the end marker's embedding; used as padding."""
+        return int(self.quantize_ids([np.array([self.vocab.END], dtype=np.int64)])[0][0][0])
 
-    def connective_latent(self, sentence_with_and: list[str]) -> np.ndarray:
-        """Quantized latent of the first 'and' token in the given sentence."""
+    def end_token_latent(self) -> np.ndarray:
+        """The entry row of :meth:`end_token_index`."""
+        return self.codebook.entries[self.end_token_index()]
+
+    def connective_index(self, sentence_with_and: list[str]) -> int:
+        """Entry index of the first 'and' token in the given sentence."""
         if "and" not in sentence_with_and:
             raise ContractError("sentence does not contain the connective 'and'")
-        _, rows = self.quantize_words(sentence_with_and)
-        return rows[sentence_with_and.index("and")]
+        if "and" not in self.vocab:
+            raise ContractError("the connective 'and' is not in the checkpoint vocabulary")
+        indices, _ = self.quantize_words(sentence_with_and)
+        return int(indices[sentence_with_and.index("and")])
 
 
 def sentences_to_ids(token_lists: list[list[str]], vocab: Vocabulary) -> list[np.ndarray]:
@@ -179,17 +186,17 @@ def warmup_codebook(ids: list[np.ndarray], params: md.ModelParams, config: md.Mo
 def reconstruct(bundle: ModelBundle, ids: list[np.ndarray]) -> tuple[list[list[int]], float]:
     """Greedy reconstructions of id sequences, in input order, and their
     teacher-forced next-token accuracy.  Each length is encoded and quantized
-    once: its quantized rows feed both the teacher-forced forward and the
-    greedy decode."""
+    once: its quantized rows feed the teacher-forced forward and its entry
+    indices the greedy decode."""
     hits = total = 0
 
     def decode(rows: np.ndarray) -> list[list[int]]:
         nonlocal hits, total
-        _, _, quantized, logits, targets = teacher_forced(bundle, rows)
+        _, indices, _, logits, targets = teacher_forced(bundle, rows)
         hits += int((logits.data.argmax(axis=-1) == targets).sum())
         total += targets.size
         del logits  # the greedy decode's peak need not hold the teacher-forced logits
-        return bundle.decode_ids(quantized, max_len=rows.shape[1] + 2)
+        return bundle.decode_ids(indices.reshape(rows.shape), max_len=rows.shape[1] + 2)
 
     decodes = by_length(decode, ids)
     return decodes, hits / total

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractError
 from .quantizer import Codebook, quantize_kmeans
-from .reports import atomic_write_text, read_lines
+from .reports import atomic_write_text, canonical_json, read_lines
 
 
 @dataclass
@@ -210,9 +210,9 @@ def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
 
     Each unsatisfied constraint sets the pooled dimension just inside the
     required side of its threshold; the pooled delta is broadcast onto every
-    token row.  All edits are re-quantized in one call.  Returns the quantized
-    rows of every edit, cumulative, as one ``[edits, L, d]`` stack; a sentence
-    already satisfying the whole path yields only its own quantized rows.
+    token row.  All edits are re-quantized in one call.  Returns the entry
+    indices of every edit, cumulative, as one ``[edits, L]`` stack; a sentence
+    already satisfying the whole path yields only its own indices.
     """
     rows = np.asarray(sentence_rows, dtype=np.float64).copy()
     pooled = rows.mean(axis=0)
@@ -236,8 +236,8 @@ def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
         pooled[constraint.dim] = target
         moved.append(rows.astype(np.float32))
     moved = moved or [rows.astype(np.float32)]
-    _, quantized = quantize_kmeans(np.concatenate(moved), codebook)
-    return quantized.reshape(len(moved), *rows.shape)
+    indices, _ = quantize_kmeans(np.concatenate(moved), codebook)
+    return indices.reshape(len(moved), rows.shape[0])
 
 
 def cross_region_consistency(decoded_sentences: list, extractor, target) -> float:
@@ -273,7 +273,7 @@ def tree_to_json(tree: DecisionTree) -> str:
     blob = {"max_depth": tree.max_depth, "min_leaf": tree.min_leaf,
             "labels": tree.labels, "training_accuracy": tree.training_accuracy,
             "root": _node_to_dict(tree.root)}
-    return json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    return canonical_json(blob)
 
 
 def tree_from_json(text: str) -> DecisionTree:

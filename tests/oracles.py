@@ -79,30 +79,26 @@ def sq_dists_scan(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def interpolate_per_step(source: np.ndarray, target: np.ndarray, entries: np.ndarray,
-                         step_size: float = 0.1, pad_latent: np.ndarray | None = None):
-    """Interpolation path as ``(t, latents, indices)`` triples, recomputing every
-    step's float64 distances from its rows to all entries."""
-    source = np.asarray(source, dtype=np.float32)
-    target = np.asarray(target, dtype=np.float32)
-    pad = None if pad_latent is None else np.asarray(pad_latent, dtype=np.float32)[None]
-    while source.shape[0] < target.shape[0]:
-        source = np.concatenate([source, pad])
-    while target.shape[0] < source.shape[0]:
-        target = np.concatenate([target, pad])
+                         step_size: float = 0.1, pad_index: int | None = None):
+    """Interpolation path between entry-index rows as ``(t, indices)`` pairs,
+    gathering every step's entry rows and recomputing their float64 distances
+    to all entries."""
+    source, target = list(source), list(target)
+    while len(source) < len(target):
+        source.append(pad_index)
+    while len(target) < len(source):
+        target.append(pad_index)
     wide = entries.astype(np.float64)
 
-    def euclidean(rows):
-        return np.sqrt(sq_dists_scan(rows.astype(np.float64), wide))
+    def euclidean(idx):
+        return np.sqrt(sq_dists_scan(wide[idx], wide))
 
-    tgt_dists = euclidean(target)
+    tgt_dists = euclidean(np.asarray(target))
     n_steps = round(1.0 / step_size)
-    points = [(0.0, source, np.argmin(sq_dists_scan(source, entries), axis=1))]
-    current = source
+    points = [(0.0, np.asarray(source))]
     for k in range(1, n_steps + 1):
         t = min(k * step_size, 1.0) if k < n_steps else 1.0
-        idx = np.argmin((1.0 - t) * euclidean(current) + t * tgt_dists, axis=1)
-        current = entries[idx]
-        points.append((t, current, idx))
+        points.append((t, np.argmin((1.0 - t) * euclidean(points[-1][1]) + t * tgt_dists, axis=1)))
     return points
 
 

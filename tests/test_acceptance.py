@@ -371,12 +371,11 @@ def test_criterion_07_interpolation_suite(trained_fixture):
         bundle = trained_fixture["bundle"]
         tokens = trained_fixture["tokens"]
         codebook = bundle.codebook
-        entry_set = {e.tobytes() for e in codebook.entries}
-        pad = bundle.end_token_latent()
+        pad = bundle.end_token_index()
         rng = np.random.default_rng(77)
 
         def smoothness(path):
-            decoded = bundle.decode_words([step.latents for step in path.steps])
+            decoded = bundle.decode_words([step.indices for step in path.steps])
             distinct = list(dict.fromkeys(tuple(words) for words in decoded))
             embeddings = dict(zip(distinct, bundle.wmd_embeddings(distinct)))
             return geo.interpolation_smoothness(decoded, embeddings)
@@ -384,16 +383,16 @@ def test_criterion_07_interpolation_suite(trained_fixture):
         scores = []
         for _ in range(100):
             i, j = int(rng.integers(len(tokens))), int(rng.integers(len(tokens)))
-            src_idx, src = bundle.quantize_words(tokens[i])
-            tgt_idx, tgt = bundle.quantize_words(tokens[j])
-            path = geo.interpolate(src, tgt, codebook, pad_latent=pad)
+            src_idx, _ = bundle.quantize_words(tokens[i])
+            tgt_idx, _ = bundle.quantize_words(tokens[j])
+            path = geo.interpolate(src_idx, tgt_idx, codebook, pad_index=pad)
             for step in path.steps:
-                for row in step.latents:
-                    assert row.tobytes() in entry_set
+                assert np.issubdtype(step.indices.dtype, np.integer)
+                assert ((0 <= step.indices) & (step.indices < codebook.size)).all()
             length = max(len(tokens[i]), len(tokens[j]))
             assert path.steps[0].indices.shape[0] == length
-            np.testing.assert_array_equal(path.steps[0].latents[:len(tokens[i])], src)
-            np.testing.assert_array_equal(path.steps[-1].latents[:len(tokens[j])], tgt)
+            np.testing.assert_array_equal(path.steps[0].indices[:len(tokens[i])], src_idx)
+            np.testing.assert_array_equal(path.steps[-1].indices[:len(tokens[j])], tgt_idx)
             score = smoothness(path)
             assert score <= 1 + 1e-9
             scores.append(score)
@@ -401,8 +400,8 @@ def test_criterion_07_interpolation_suite(trained_fixture):
               f"avg {np.mean(scores):.3f} max {np.max(scores):.3f} min {np.min(scores):.3f}")
 
         # source == target collapses to the degenerate path
-        _, src = bundle.quantize_words(tokens[0])
-        path = geo.interpolate(src, src.copy(), codebook)
+        src_idx, _ = bundle.quantize_words(tokens[0])
+        path = geo.interpolate(src_idx, src_idx.copy(), codebook)
         assert smoothness(path) == 1.0
 
         for case in range(30):
@@ -474,10 +473,10 @@ def test_criterion_09_substitution_suite(inference_fixture):
 
         def run(inst):
             p1 = geo.SentenceLatents(inst.premise1.tokens, inst.premise1.roles,
-                                     bundle.quantize_words(inst.premise1.tokens)[1])
+                                     bundle.quantize_words(inst.premise1.tokens)[0])
             p2 = geo.SentenceLatents(inst.premise2.tokens, inst.premise2.roles,
-                                     bundle.quantize_words(inst.premise2.tokens)[1])
-            return bundle.decode_words([geo.substitute(p1, p2, inst.op)])[0]
+                                     bundle.quantize_words(inst.premise2.tokens)[0])
+            return bundle.decode_words([geo.substitute(p1, p2, inst.op, bundle.codebook)])[0]
 
         hits = sum(run(inst) == inst.conclusion.tokens for inst in instances)
         rate = hits / len(instances)

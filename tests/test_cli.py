@@ -328,19 +328,35 @@ class TestReports:
             (tmp_path / "t2" / "tree.json").read_bytes()
 
 
+PREMISES = {
+    "arg_sub": "a/O crow/ARG1 is/PRED a/O kind/O of/O bird/ARG2 ||| a/O bird/ARG1 can/MOD fly/PRED",
+    "conjunction": "a/O salmon/ARG1 can/MOD fly/PRED and/O crawl/PRED ||| "
+                   "a/O salmon/ARG1 can/MOD hunt/PRED",
+}
+
+
 def run_every_command(ckpt: str, corpus: str, sentence: str, root: Path, capsys):
     """Exit code, stdout and stderr of each latent-space command, and the bytes of
     every file they write under ``root``."""
+    lengths = [len(s.tokens) for s in cg.load_corpus(corpus)]
+    other = next(k for k, n in enumerate(lengths) if n != lengths[0])  # a padded pair
+    root.mkdir(parents=True)
+    for op, line in PREMISES.items():
+        (root / f"premises_{op}.txt").write_text(line + "\n")
     commands = [
         ["reconstruct", "--corpus", corpus, "--out", str(root / "reconstruct")],
         ["interpolate", "--corpus", corpus, "--random", "3", "--out", str(root / "interpolate")],
+        ["interpolate", "--corpus", corpus, "--source", "0", "--target", str(other),
+         "--out", str(root / "interpolate_pair")],
         ["traverse", "--sentence", sentence, "--position", "1", "--n", "4"],
         ["arith", "--a", sentence, "--b", sentence],
         ["disentangle", "--corpus", corpus, "--out", str(root / "disentangle")],
         ["tree", "--corpus", corpus, "--region", "pred:causes,means", "--min-leaf", "2",
          "--out", str(root / "tree")],
     ] + [["infer", "--op", op, "--generate", "4", "--out", str(root / op)]
-         for op in cg.INFERENCE_OPS]
+         for op in cg.INFERENCE_OPS] + [
+        ["infer", "--op", op, "--premises", str(root / f"premises_{op}.txt"),
+         "--out", str(root / f"premises_{op}")] for op in PREMISES]
     streams = []
     for argv in commands:
         code = main(argv + ["--checkpoint", ckpt])
@@ -373,12 +389,13 @@ def test_outputs_equal_difference_form_argmin(tiny_ckpt, tmp_path, capsys, monke
 
 
 def test_outputs_equal_one_sequence_decodes(tiny_ckpt, tmp_path, capsys, monkeypatch):
-    """Pooling every command's latents into one deduplicated decode call changes
-    no output: each sequence decoded alone by the oracle gives the same bytes."""
-    def one_at_a_time(bundle, latents, max_len=None):
-        return [greedy_generate_one(rows, bundle.params, bundle.config,
+    """Pooling every command's index rows into one deduplicated decode call
+    changes no output: each row's entries decoded alone by the oracle give the
+    same bytes."""
+    def one_at_a_time(bundle, indices, max_len=None):
+        return [greedy_generate_one(bundle.codebook.entries[row], bundle.params, bundle.config,
                                     max_len or bundle.config.max_len,
-                                    bundle.vocab.START, bundle.vocab.END) for rows in latents]
+                                    bundle.vocab.START, bundle.vocab.END) for row in indices]
 
     assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys,
                              lambda: monkeypatch.setattr(ModelBundle, "decode_ids", one_at_a_time))
@@ -467,6 +484,22 @@ class TestExitCodes:
                      "--premises", str(premises), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "infer.txt").exists()
+
+    @pytest.mark.parametrize("source", ["generate", "premises"])
+    def test_conjunction_without_and_in_vocabulary_is_three(self, tmp_path, capsys, source):
+        sentences = [s for s in cg.generate_sentences(5, 20) if "and" not in s.tokens]
+        bundle, _ = train_bundle([s.tokens for s in sentences], epochs=0, codebook_size=8,
+                                 d_model=8, n_heads=2)
+        save_bundle(tmp_path / "model.ckpt", bundle)
+        premises = tmp_path / "premises.txt"
+        premises.write_text(PREMISES["conjunction"] + "\n")
+        argv = ["--generate", "4"] if source == "generate" else ["--premises", str(premises)]
+        out = tmp_path / "out"
+        assert main(["infer", "--checkpoint", str(tmp_path / "model.ckpt"), "--op", "conjunction",
+                     "--out", str(out)] + argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'and'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_interpolate_random_below_one_is_three(self, tiny_ckpt, tmp_path, capsys, count):

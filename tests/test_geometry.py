@@ -9,8 +9,10 @@ import pytest
 
 from vqlat import corpus as cg
 from vqlat import geometry as geo
+from vqlat import model as md
 from vqlat.errors import ContractError, NoAnchorError
-from vqlat.quantizer import Codebook, quantize_kmeans
+from vqlat.quantizer import Codebook, QuantizerConfig, quantize_kmeans
+from vqlat.training import ModelBundle
 
 from tests.oracles import interpolate_per_step, min_permutation_cost
 
@@ -27,40 +29,38 @@ def cb():
 
 class TestInterpolate:
     def test_source_equals_target_is_constant(self, cb):
-        src = cb.entries[[0, 3]].copy()
+        src = np.array([0, 3])
         path = geo.interpolate(src, src.copy(), cb)
         assert len(path.steps) == 11
         for step in path.steps:
-            np.testing.assert_array_equal(step.latents, src)
+            np.testing.assert_array_equal(step.indices, src)
 
     def test_final_step_matches_target_indices(self, cb):
-        src = cb.entries[[0, 1]].copy()
-        tgt = cb.entries[[4, 5]].copy()
-        path = geo.interpolate(src, tgt, cb)
+        path = geo.interpolate(np.array([0, 1]), np.array([4, 5]), cb)
         assert path.steps[0].indices.tolist() == [0, 1]
         assert path.steps[-1].t == 1.0
         assert path.steps[-1].indices.tolist() == [4, 5]
 
     def test_all_rows_are_codebook_entries(self, cb):
-        path = geo.interpolate(cb.entries[[2, 0]].copy(), cb.entries[[5, 3]].copy(), cb)
+        path = geo.interpolate(np.array([2, 0]), np.array([5, 3]), cb)
         for step in path.steps:
-            for row in step.latents:
-                assert any(np.array_equal(row, e) for e in cb.entries)
+            assert np.issubdtype(step.indices.dtype, np.integer)
+            assert ((0 <= step.indices) & (step.indices < cb.size)).all()
 
     def test_matches_exhaustive_argmin_oracle(self):
         rng = np.random.default_rng(1)
         for trial in range(20):
             cb = make_codebook(rng.standard_normal((4, 3)))
-            src = cb.entries[rng.integers(0, 4, size=2)].copy()
-            tgt = cb.entries[rng.integers(0, 4, size=2)].copy()
+            src = rng.integers(0, 4, size=2)
+            tgt = rng.integers(0, 4, size=2)
             path = geo.interpolate(src, tgt, cb)
-            prev = src
+            prev = cb.entries[src]
             for k in range(1, 11):
                 t = 1.0 if k == 10 else k * 0.1
                 expected = []
                 for i in range(2):
                     costs = [(1 - t) * np.linalg.norm(prev[i].astype(np.float64) - e)
-                             + t * np.linalg.norm(tgt[i].astype(np.float64) - e)
+                             + t * np.linalg.norm(cb.entries[tgt[i]].astype(np.float64) - e)
                              for e in cb.entries.astype(np.float64)]
                     expected.append(int(np.argmin(costs)))
                 assert path.steps[k].indices.tolist() == expected, (trial, k)
@@ -75,35 +75,28 @@ class TestInterpolate:
             if duplicates:
                 entries = entries[rng.integers(0, k, size=k)]
             cb = make_codebook(entries)
-            src = cb.entries[rng.integers(0, k, size=int(rng.integers(1, 7)))]
-            tgt = cb.entries[rng.integers(0, k, size=int(rng.integers(1, 7)))]
-            pad = cb.entries[int(rng.integers(0, k))]
+            src = rng.integers(0, k, size=int(rng.integers(1, 7)))
+            tgt = rng.integers(0, k, size=int(rng.integers(1, 7)))
+            pad = int(rng.integers(0, k))
             step_size = (0.1, 0.25, 0.3, 1.0)[trial % 4]
-            path = geo.interpolate(src, tgt, cb, step_size=step_size, pad_latent=pad)
+            path = geo.interpolate(src, tgt, cb, step_size=step_size, pad_index=pad)
             want = interpolate_per_step(src, tgt, cb.entries, step_size, pad)
             assert len(path.steps) == len(want)
-            for got, (t, latents, indices) in zip(path.steps, want):
+            for got, (t, indices) in zip(path.steps, want):
                 assert got.t == t
                 assert got.indices.tolist() == indices.tolist(), (trial, t)
-                assert got.latents.tobytes() == latents.tobytes()
 
     def test_length_mismatch_without_padding(self, cb):
         with pytest.raises(ContractError):
-            geo.interpolate(cb.entries[[0]].copy(), cb.entries[[1, 2]].copy(), cb)
+            geo.interpolate(np.array([0]), np.array([1, 2]), cb)
 
     def test_padding_extends_shorter_side(self, cb):
-        path = geo.interpolate(cb.entries[[0]].copy(), cb.entries[[1, 2]].copy(), cb,
-                               pad_latent=cb.entries[5])
+        path = geo.interpolate(np.array([0]), np.array([1, 2]), cb, pad_index=5)
         assert path.steps[0].indices.tolist() == [0, 5]
         assert path.steps[-1].indices.tolist() == [1, 2]
 
-    def test_unquantized_input_rejected(self, cb):
-        bad = cb.entries[[0, 1]] + 0.25
-        with pytest.raises(ContractError):
-            geo.interpolate(bad, cb.entries[[0, 1]].copy(), cb)
-
     def test_dump_format(self, cb):
-        path = geo.interpolate(cb.entries[[0]].copy(), cb.entries[[1]].copy(), cb)
+        path = geo.interpolate(np.array([0]), np.array([1]), cb)
         decoded = [[f"w{i}" for i in step.indices] for step in path.steps]
         lines = geo.dump_path(path, decoded).strip().split("\n")
         assert len(lines) == 11
@@ -115,10 +108,43 @@ class TestInterpolate:
 def test_interpolate_reads_endpoint_indices_without_quantizing(cb, monkeypatch):
     calls = []
     monkeypatch.setattr(geo, "quantize_kmeans", lambda *a: calls.append(a) or quantize_kmeans(*a))
-    path = geo.interpolate(cb.entries[[2, 0]].copy(), cb.entries[[5, 3]].copy(), cb)
+    path = geo.interpolate(np.array([2, 0]), np.array([5, 3]), cb)
     assert calls == []
     assert path.steps[0].indices.tolist() == [2, 0]
     assert path.steps[-1].indices.tolist() == [5, 3]
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 1.0], ids=["negative", "K", "float"])
+@pytest.mark.parametrize("call", [
+    "interpolate-source", "interpolate-target", "interpolate-pad", "traverse", "arith",
+    "substitute-premise", "substitute-and", "decode"])
+def test_index_inputs_outside_the_codebook_are_refused(cb, call, bad):
+    """Every function taking entry indices refuses -1, K and a float index with a
+    ContractError instead of wrapping or truncating it."""
+    assert cb.size == 6
+    row = np.array([1, bad, 2])  # a float anywhere makes the whole row float
+    conj = cg.make_can("wolf", "run"), cg.make_can("wolf", "hide")
+    good = geo.SentenceLatents(conj[0].tokens, conj[0].roles, np.array([0, 1, 2, 3]))
+    vocab = cg.Vocabulary(["wolf"])
+    config = md.ModelConfig(vocab_size=len(vocab), d_model=cb.dim, n_heads=1, max_len=4)
+    calls = {
+        "interpolate-source": lambda: geo.interpolate(row, np.array([0, 1, 2]), cb),
+        "interpolate-target": lambda: geo.interpolate(np.array([0, 1, 2]), row, cb),
+        "interpolate-pad": lambda: geo.interpolate(np.array([0]), np.array([1, 2]), cb,
+                                                   pad_index=bad),
+        "traverse": lambda: geo.traverse_position(row, 0, cb, 2),
+        "arith": lambda: geo.latent_arithmetic_add(np.array([0, 1, 2]), row, cb),
+        "substitute-premise": lambda: geo.substitute(
+            good, geo.SentenceLatents(conj[1].tokens, conj[1].roles, np.append(row, 0)),
+            "conjunction", cb, and_index=4),
+        "substitute-and": lambda: geo.substitute(
+            good, geo.SentenceLatents(conj[1].tokens, conj[1].roles, np.array([0, 1, 2, 4])),
+            "conjunction", cb, and_index=bad),
+        "decode": lambda: ModelBundle(config, md.init_params(config, np.random.default_rng(0)), cb,
+                                      QuantizerConfig(), vocab).decode_ids([np.array([0]), row]),
+    }
+    with pytest.raises(ContractError):
+        calls[call]()
 
 
 class TestWmd:
@@ -205,56 +231,54 @@ class TestInterpolationSmoothness:
 
 class TestTraversePosition:
     def test_first_variant_is_original(self, cb):
-        latents = cb.entries[[1, 4]].copy()
-        variants = geo.traverse_position(latents, 0, cb, 1)
-        np.testing.assert_array_equal(variants, latents[None])
+        indices = np.array([1, 4])
+        variants = geo.traverse_position(indices, 0, cb, 1)
+        np.testing.assert_array_equal(variants, indices[None])
 
     def test_variants_change_only_requested_row(self, cb):
-        latents = cb.entries[[1, 4, 2]].copy()
-        variants = geo.traverse_position(latents, 1, cb, 4)
-        assert variants.shape == (4, 3, cb.dim)
+        indices = np.array([1, 4, 2])
+        variants = geo.traverse_position(indices, 1, cb, 4)
+        assert variants.shape == (4, 3)
         for variant in variants:
-            np.testing.assert_array_equal(variant[0], latents[0])
-            np.testing.assert_array_equal(variant[2], latents[2])
+            assert variant[0] == indices[0]
+            assert variant[2] == indices[2]
 
     def test_variants_in_distance_order(self, cb):
-        latents = cb.entries[[0, 2]].copy()
-        variants = geo.traverse_position(latents, 1, cb, cb.size)
-        dists = [np.linalg.norm(v[1] - latents[1]) for v in variants]
+        indices = np.array([0, 2])
+        variants = geo.traverse_position(indices, 1, cb, cb.size)
+        dists = [np.linalg.norm(cb.entries[v[1]] - cb.entries[indices[1]]) for v in variants]
         assert dists == sorted(dists)
         assert dists[0] == 0.0
 
     def test_position_out_of_range(self, cb):
         with pytest.raises(ContractError):
-            geo.traverse_position(cb.entries[[0]].copy(), 1, cb, 1)
+            geo.traverse_position(np.array([0]), 1, cb, 1)
 
     def test_too_many_variants(self, cb):
         with pytest.raises(ContractError):
-            geo.traverse_position(cb.entries[[0]].copy(), 0, cb, cb.size + 1)
+            geo.traverse_position(np.array([0]), 0, cb, cb.size + 1)
 
 
 class TestLatentArithmetic:
     def test_zero_operand_is_identity(self, cb):
-        a = cb.entries[[2, 5]].copy()
-        indices, quantized = geo.latent_arithmetic_add(a, np.zeros_like(a), cb)
-        np.testing.assert_array_equal(quantized, a)
+        with_zero = make_codebook(np.vstack([cb.entries, np.zeros(cb.dim)]))
+        zero = with_zero.size - 1
+        indices = geo.latent_arithmetic_add(np.array([2, 5]), np.array([zero, zero]), with_zero)
         assert indices.tolist() == [2, 5]
 
     def test_commutative(self, cb):
-        a, b = cb.entries[[0, 1]].copy(), cb.entries[[4, 2]].copy()
-        for want, got in zip(geo.latent_arithmetic_add(a, b, cb), geo.latent_arithmetic_add(b, a, cb)):
-            np.testing.assert_array_equal(want, got)
+        a, b = np.array([0, 1]), np.array([4, 2])
+        np.testing.assert_array_equal(geo.latent_arithmetic_add(a, b, cb),
+                                      geo.latent_arithmetic_add(b, a, cb))
 
     def test_forced_two_dim_case(self):
         cb = make_codebook([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        indices, quantized = geo.latent_arithmetic_add(np.array([[1.0, 0.0]], dtype=np.float32),
-                                                       np.array([[0.0, 1.0]], dtype=np.float32), cb)
+        indices = geo.latent_arithmetic_add(np.array([1]), np.array([2]), cb)
         assert indices.tolist() == [3]
-        np.testing.assert_array_equal(quantized, [[1.0, 1.0]])
+        np.testing.assert_array_equal(cb.entries[indices], [[1.0, 1.0]])
 
     def test_truncates_to_shorter_operand(self, cb):
-        a, b = cb.entries[[0, 1, 2]].copy(), cb.entries[[3]].copy()
-        assert geo.latent_arithmetic_add(a, b, cb)[1].shape[0] == 1
+        assert geo.latent_arithmetic_add(np.array([0, 1, 2]), np.array([3]), cb).shape == (1,)
 
 
 class TestDisentanglementStats:
@@ -292,82 +316,72 @@ class TestSubstitution:
         rng = np.random.default_rng(8)
         p1_sent = cg.make_is_a("shark", "fish")
         p2_sent = cg.make_is_a("fish", ("aquatic", "animal"))
-        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles,
-                                 rng.standard_normal((7, 4)).astype(np.float32))
-        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles,
-                                 rng.standard_normal((8, 4)).astype(np.float32))
+        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles, rng.integers(0, 6, size=7))
+        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles, rng.integers(0, 6, size=8))
         return p1, p2
 
-    def test_arg_sub_assembles_expected_rows(self, premises):
+    def test_arg_sub_assembles_expected_rows(self, premises, cb):
         p1, p2 = premises
-        out = geo.substitute(p1, p2, "arg_sub")
-        expected = np.concatenate([p2.latents[:1], p1.latents[1:2], p2.latents[2:]])
+        out = geo.substitute(p1, p2, "arg_sub", cb)
+        expected = np.concatenate([p2.indices[:1], p1.indices[1:2], p2.indices[2:]])
         np.testing.assert_array_equal(out, expected)
 
-    def test_arg_sub_identical_premises_unchanged(self, premises):
+    def test_arg_sub_identical_premises_unchanged(self, premises, cb):
         p1, _ = premises
-        np.testing.assert_array_equal(geo.substitute(p1, p1, "arg_sub"), p1.latents)
+        np.testing.assert_array_equal(geo.substitute(p1, p1, "arg_sub", cb), p1.indices)
 
-    def test_rows_outside_span_untouched(self, premises):
+    def test_rows_outside_span_untouched(self, premises, cb):
         p1, p2 = premises
-        hybrid = geo.substitute(p1, p2, "arg_sub")
-        np.testing.assert_array_equal(hybrid[0], p2.latents[0])
-        np.testing.assert_array_equal(hybrid[2:], p2.latents[2:])
+        hybrid = geo.substitute(p1, p2, "arg_sub", cb)
+        assert hybrid[0] == p2.indices[0]
+        np.testing.assert_array_equal(hybrid[2:], p2.indices[2:])
 
-    def test_verb_sub_replaces_predicate_span(self):
+    def test_verb_sub_replaces_predicate_span(self, cb):
         rng = np.random.default_rng(9)
         p1_sent = cg.make_means_vv("run", "move")
         p2_sent = cg.make_can("wolf", "run")
-        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles,
-                                 rng.standard_normal((3, 4)).astype(np.float32))
-        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles,
-                                 rng.standard_normal((4, 4)).astype(np.float32))
-        out = geo.substitute(p1, p2, "verb_sub")
-        expected = np.concatenate([p2.latents[:3], p1.latents[2:3]])
+        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles, rng.integers(0, 6, size=3))
+        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles, rng.integers(0, 6, size=4))
+        out = geo.substitute(p1, p2, "verb_sub", cb)
+        expected = np.concatenate([p2.indices[:3], p1.indices[2:3]])
         np.testing.assert_array_equal(out, expected)
 
-    def test_no_shared_span_raises(self):
+    def test_no_shared_span_raises(self, cb):
         rng = np.random.default_rng(10)
         p1_sent = cg.make_is_a("shark", "fish")
         p2_sent = cg.make_is_a("oak", "tree")
-        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles,
-                                 rng.standard_normal((7, 4)).astype(np.float32))
-        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles,
-                                 rng.standard_normal((7, 4)).astype(np.float32))
+        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles, rng.integers(0, 6, size=7))
+        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles, rng.integers(0, 6, size=7))
         with pytest.raises(NoAnchorError):
-            geo.substitute(p1, p2, "arg_sub")
+            geo.substitute(p1, p2, "arg_sub", cb)
 
-    def test_further_spec_appends_purpose_span(self):
+    def test_further_spec_appends_purpose_span(self, cb):
         rng = np.random.default_rng(11)
         p1_sent = cg.make_requires("deer", "food", "survive")
         p2_sent = cg.make_can("deer", "run")
-        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles,
-                                 rng.standard_normal((6, 4)).astype(np.float32))
-        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles,
-                                 rng.standard_normal((4, 4)).astype(np.float32))
-        out = geo.substitute(p1, p2, "further_spec")
-        expected = np.concatenate([p2.latents, p1.latents[4:6]])
+        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles, rng.integers(0, 6, size=6))
+        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles, rng.integers(0, 6, size=4))
+        out = geo.substitute(p1, p2, "further_spec", cb)
+        expected = np.concatenate([p2.indices, p1.indices[4:6]])
         np.testing.assert_array_equal(out, expected)
 
-    def test_conjunction_joins_differing_spans(self):
+    def test_conjunction_joins_differing_spans(self, cb):
         rng = np.random.default_rng(12)
         p1_sent = cg.make_can("wolf", "run")
         p2_sent = cg.make_can("wolf", "hide")
-        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles,
-                                 rng.standard_normal((4, 4)).astype(np.float32))
-        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles,
-                                 rng.standard_normal((4, 4)).astype(np.float32))
-        and_latent = rng.standard_normal(4).astype(np.float32)
-        out = geo.substitute(p1, p2, "conjunction", and_latent=and_latent)
-        expected = np.concatenate([p2.latents, and_latent[None, :], p1.latents[3:4]])
+        p1 = geo.SentenceLatents(p1_sent.tokens, p1_sent.roles, rng.integers(0, 6, size=4))
+        p2 = geo.SentenceLatents(p2_sent.tokens, p2_sent.roles, rng.integers(0, 6, size=4))
+        and_index = int(rng.integers(0, 6))
+        out = geo.substitute(p1, p2, "conjunction", cb, and_index=and_index)
+        expected = np.concatenate([p2.indices, [and_index], p1.indices[3:4]])
         np.testing.assert_array_equal(out, expected)
 
-    def test_conjunction_requires_connective(self, premises):
+    def test_conjunction_requires_connective(self, premises, cb):
         p1, p2 = premises
         with pytest.raises(ContractError):
-            geo.substitute(p1, p2, "conjunction")
+            geo.substitute(p1, p2, "conjunction", cb)
 
-    def test_unknown_op(self, premises):
+    def test_unknown_op(self, premises, cb):
         p1, p2 = premises
         with pytest.raises(ContractError):
-            geo.substitute(p1, p2, "negate")
+            geo.substitute(p1, p2, "negate", cb)

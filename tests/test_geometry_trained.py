@@ -12,9 +12,9 @@ class TestTraversalLocality:
     def test_determiner_slot_changes_stay_local(self, inference_fixture):
         bundle = inference_fixture["bundle"]
         shark = ["a", "shark", "is", "a", "kind", "of", "fish"]
-        _, rows = bundle.quantize_words(shark)
-        [original] = bundle.decode_words([rows])
-        variants = bundle.decode_words(geo.traverse_position(rows, 0, bundle.codebook, 10))
+        indices, _ = bundle.quantize_words(shark)
+        [original] = bundle.decode_words([indices])
+        variants = bundle.decode_words(geo.traverse_position(indices, 0, bundle.codebook, 10))
         local = sum(all(abs(p - 0) <= 2 for p in differing_positions(v, original))
                     for v in variants)
         assert local / len(variants) >= 0.7
@@ -22,8 +22,8 @@ class TestTraversalLocality:
     def test_first_variant_reproduces_sentence(self, inference_fixture):
         bundle = inference_fixture["bundle"]
         shark = ["a", "shark", "is", "a", "kind", "of", "fish"]
-        _, rows = bundle.quantize_words(shark)
-        variants = bundle.decode_words(geo.traverse_position(rows, 1, bundle.codebook, 1))
+        indices, _ = bundle.quantize_words(shark)
+        variants = bundle.decode_words(geo.traverse_position(indices, 1, bundle.codebook, 1))
         assert variants[0] == shark
 
 

@@ -127,8 +127,8 @@ class TestMemorization:
         bundle = memorization_fixture["bundle"]
         assert token_accuracy(bundle, memorization_fixture["tokens"]) >= 0.99
         for words in memorization_fixture["tokens"]:
-            _, quantized = bundle.quantize_words(words)
-            assert bundle.decode_words(quantized[None], max_len=len(words) + 2) == [words]
+            indices, _ = bundle.quantize_words(words)
+            assert bundle.decode_words(indices[None], max_len=len(words) + 2) == [words]
 
     def test_batched_decode_equals_one_sequence_oracle(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
@@ -143,13 +143,13 @@ class TestMemorization:
     def test_decode_ids_decodes_each_distinct_sequence_once_per_length(
             self, memorization_fixture, monkeypatch):
         bundle = memorization_fixture["bundle"]
-        quantized = [rows for _, rows in bundle.quantize_ids(
+        quantized = [indices for indices, _ in bundle.quantize_ids(
             sentences_to_ids(memorization_fixture["tokens"], bundle.vocab))]
         # mixed lengths, repeats, and an equal copy that is a different array
-        latents = [quantized[i] for i in (3, 0, 3, 1, 0, 2, 3)] + [quantized[1].copy()]
-        distinct = {rows.tobytes(): rows for rows in latents}
-        lengths = {len(rows) for rows in distinct.values()}
-        assert len(lengths) > 1 and len(distinct) < len(latents)
+        rows = [quantized[i] for i in (3, 0, 3, 1, 0, 2, 3)] + [quantized[1].copy()]
+        distinct = {tuple(row): row for row in rows}
+        lengths = {len(row) for row in distinct.values()}
+        assert len(lengths) > 1 and len(distinct) < len(rows)
         stacks = []
         greedy_generate = md.greedy_generate
 
@@ -158,20 +158,24 @@ class TestMemorization:
             return greedy_generate(stack, *args, **kwargs)
 
         monkeypatch.setattr(md, "greedy_generate", spy)
-        got = bundle.decode_ids(latents)
+        got = bundle.decode_ids(rows)
         monkeypatch.undo()
-        want = [greedy_generate_one(rows, bundle.params, bundle.config, bundle.config.max_len,
-                                    bundle.vocab.START, bundle.vocab.END) for rows in latents]
+        entries = bundle.codebook.entries
+        want = [greedy_generate_one(entries[row], bundle.params, bundle.config,
+                                    bundle.config.max_len, bundle.vocab.START, bundle.vocab.END)
+                for row in rows]
         assert got == want
+        # each stack is the float [B, L, d] gather of its rows' entries
+        assert all(stack.dtype == np.float32 and stack.ndim == 3 for stack in stacks)
         assert sorted(stack.shape[1] for stack in stacks) == sorted(lengths)
-        passed = [rows.tobytes() for stack in stacks for rows in stack]
-        assert sorted(passed) == sorted(distinct)
+        passed = [latents.tobytes() for stack in stacks for latents in stack]
+        assert sorted(passed) == sorted(entries[row].tobytes() for row in distinct.values())
 
     def test_deterministic_generation(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
         words = memorization_fixture["tokens"][0]
-        _, quantized = bundle.quantize_words(words)
-        assert bundle.decode_words(quantized[None]) == bundle.decode_words(quantized[None])
+        indices, _ = bundle.quantize_words(words)
+        assert bundle.decode_words(indices[None]) == bundle.decode_words(indices[None])
 
 
 class TestSharedPasses:
@@ -265,7 +269,8 @@ class TestBundlePersistence:
         idx_a, q_a = bundle.quantize_words(words)
         idx_b, q_b = loaded.quantize_words(words)
         np.testing.assert_array_equal(idx_a, idx_b)
-        assert loaded.decode_words(q_b[None]) == bundle.decode_words(q_a[None])
+        np.testing.assert_array_equal(q_a, q_b)
+        assert loaded.decode_words(idx_b[None]) == bundle.decode_words(idx_a[None])
 
     def test_codebook_tensors_present(self, tmp_path, memorization_fixture):
         path = tmp_path / "model.ckpt"
@@ -313,8 +318,15 @@ class TestBundleHelpers:
         row = bundle.end_token_latent()
         idx, snapped = quantize_kmeans(row[None, :], bundle.codebook)
         np.testing.assert_array_equal(snapped[0], row)
+        assert int(idx[0]) == bundle.end_token_index()
 
-    def test_connective_latent_requires_and(self, memorization_fixture):
+    def test_connective_index_requires_and(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
         with pytest.raises(ContractError):
-            bundle.connective_latent(["a", "shark", "can", "swim"])
+            bundle.connective_index(["a", "shark", "can", "swim"])
+
+    def test_connective_index_requires_and_in_the_vocabulary(self, memorization_fixture):
+        bundle = memorization_fixture["bundle"]
+        assert "and" not in bundle.vocab
+        with pytest.raises(ContractError, match="'and'"):
+            bundle.connective_index(["a", "shark", "can", "swim", "and", "fly"])

@@ -7,7 +7,7 @@ import pytest
 
 from vqlat import tree as tc
 from vqlat.errors import ContractError
-from vqlat.quantizer import Codebook, quantize_kmeans
+from vqlat.quantizer import Codebook
 
 from tests.oracles import fit_tree_bruteforce, predict_tree_bruteforce
 
@@ -175,42 +175,33 @@ class TestExtractPath:
 
 class TestGuidedMove:
     @pytest.fixture()
-    def setup(self):
+    def codebook(self):
         # entries laid out so a +1 shift on dim 0 flips row assignments
         entries = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], dtype=np.float32)
-        codebook = Codebook(entries)
+        return Codebook(entries)
 
-        def entry_indices(stack):
-            return [[int(i) for i in quantize_kmeans(rows, codebook)[0]] for rows in stack]
-
-        return codebook, entry_indices
-
-    def test_already_in_target_leaf_one_output_no_edits(self, setup):
-        codebook, _ = setup
+    def test_already_in_target_leaf_one_output_no_edits(self, codebook):
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
         rows = np.array([[0.9, 0.0], [0.9, 1.0]])
         outputs = tc.guided_move(rows, path, 0.05, codebook)
-        np.testing.assert_array_equal(outputs, codebook.entries[[2, 3]][None])
+        assert outputs.tolist() == [[2, 3]]
 
-    def test_edit_crosses_threshold_and_flips_decoding(self, setup):
-        codebook, entry_indices = setup
+    def test_edit_crosses_threshold_and_flips_decoding(self, codebook):
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
         rows = np.array([[0.0, 0.0], [0.0, 1.0]])  # pooled dim0 = 0.0
         outputs = tc.guided_move(rows, path, 0.45, codebook)
-        assert entry_indices(outputs) == [[2, 3]]
+        assert outputs.tolist() == [[2, 3]]
 
-    def test_each_edit_changes_one_pooled_dimension(self, setup):
-        codebook, _ = setup
+    def test_each_edit_changes_one_pooled_dimension(self, codebook):
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">"),
                             tc.PathConstraint(1, 0.4, "<=")], {}, 1)
         rows = np.array([[0.0, 0.9], [0.0, 0.9]])
         edits = tc.guided_move(rows, path, 0.1, codebook)
-        assert edits.shape == (2, 2, 2)  # every edit rides in the one returned stack
+        assert edits.shape == (2, 2)  # every edit rides in the one returned stack
         # quantized pooled rows: dim 0 crosses first, then dim 1
-        assert [e.mean(axis=0).tolist() for e in edits] == [[1.0, 1.0], [1.0, 0.0]]
+        assert [codebook.entries[e].mean(axis=0).tolist() for e in edits] == [[1.0, 1.0], [1.0, 0.0]]
 
-    def test_final_pooled_latent_classified_as_target(self, setup):
-        codebook, _ = setup
+    def test_final_pooled_latent_classified_as_target(self, codebook):
         rng = np.random.default_rng(5)
         pos = rng.normal([1.5, 0.0], 0.2, size=(30, 2))
         neg = rng.normal([-1.5, 0.0], 0.2, size=(30, 2))
@@ -230,8 +221,7 @@ class TestGuidedMove:
                 edited[c.dim] = c.threshold + eps
         assert tree.predict_one(edited) == 1
 
-    def test_margin_must_be_positive(self, setup):
-        codebook, _ = setup
+    def test_margin_must_be_positive(self, codebook):
         path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
         with pytest.raises(ContractError):
             tc.guided_move(np.zeros((2, 2)), path, 0.0, codebook)
