@@ -223,11 +223,10 @@ def disentanglement_stats(occurrences: Sequence[tuple[list[str], list[str], np.n
         if len(idxs) == 1:
             stats.append(RoleContentStats(label, 1, 0.0, 0.0, 0.0))
             continue
-        entries = codebook.entries[idxs].astype(np.float64)
-        dists = [float(np.linalg.norm(entries[i] - entries[j]))
-                 for i in range(len(idxs)) for j in range(i + 1, len(idxs))]
-        stats.append(RoleContentStats(label, len(idxs),
-                                      float(np.mean(dists)), max(dists), min(dists)))
+        entries = codebook.entries[idxs]
+        dists = _euclidean_to_entries(entries, entries)[np.triu_indices(len(idxs), k=1)]
+        stats.append(RoleContentStats(label, len(idxs), float(dists.mean()),
+                                      float(dists.max()), float(dists.min())))
     return stats
 
 

@@ -49,66 +49,52 @@ class DecisionTree:
         return [self.predict_one(p) for p in np.asarray(points, dtype=np.float64)]
 
 
-def _gini_from_counts(counts: dict, total: int) -> float:
-    # summation in sorted-label order keeps the float result deterministic
-    return 1.0 - sum((counts[k] / total) ** 2 for k in sorted(counts, key=str))
+def _gini(counts: np.ndarray, totals) -> np.ndarray:
+    """Gini impurity over the last (class) axis.  The squares are summed class
+    by class in code order with ``float_power`` (libm ``pow``, as Python's
+    ``**``), so every impurity is a reproducible float and ties are exact."""
+    squares = 0.0
+    for c in range(counts.shape[-1]):
+        squares = squares + np.float_power(counts[..., c] / totals, 2)
+    return 1.0 - squares
 
 
-def _majority(counts: dict) -> object:
-    return sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[0][0]
+def _best_split(points: np.ndarray, codes: np.ndarray, total: np.ndarray, min_leaf: int):
+    """Lowest weighted-impurity ``(dim, threshold)``, or None if no split beats
+    the parent, whose class counts are ``total``.  Candidates are midpoints of
+    consecutive distinct sorted values; one cumulative class-count table
+    ``[n-1, dims, C]`` over the stably sorted columns counts both sides of all
+    of them, and the first minimum in dim-major order wins, so the lowest dim,
+    then the lowest threshold, breaks ties."""
+    n = len(codes)
+    order = np.argsort(points, axis=0, kind="stable")
+    values = np.take_along_axis(points, order, axis=0)
+    left = np.cumsum(codes[order][..., None] == np.arange(len(total)), axis=0)[:-1]
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    weighted = (n_left * _gini(left, n_left) + n_right * _gini(total - left, n_right)) / n
+    valid = ((values[:-1] != values[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+             & (weighted < _gini(total, n)))
+    if not valid.any():
+        return None
+    dim, pos = divmod(int(np.argmin(np.where(valid, weighted, np.inf).T)), n - 1)
+    return dim, (float(values[pos, dim]) + float(values[pos + 1, dim])) / 2.0
 
 
-def _best_split(points: np.ndarray, labels: list, min_leaf: int):
-    """Lowest weighted-impurity (dim, threshold); candidates are midpoints of
-    consecutive sorted values, enumerated dim-ascending then threshold-ascending
-    with strict improvement, so the lowest dim and threshold win ties."""
-    n, n_dims = points.shape
-    total_counts: dict = {}
-    for y in labels:
-        total_counts[y] = total_counts.get(y, 0) + 1
-    parent = _gini_from_counts(total_counts, n)
-    best = None
-    for dim in range(n_dims):
-        order = np.argsort(points[:, dim], kind="stable")
-        sorted_vals = points[order, dim]
-        left_counts: dict = {}
-        n_left = 0
-        for pos in range(n - 1):
-            y = labels[order[pos]]
-            left_counts[y] = left_counts.get(y, 0) + 1
-            n_left += 1
-            if sorted_vals[pos] == sorted_vals[pos + 1]:
-                continue
-            n_right = n - n_left
-            if n_left < min_leaf or n_right < min_leaf:
-                continue
-            threshold = (float(sorted_vals[pos]) + float(sorted_vals[pos + 1])) / 2.0
-            right_counts = {k: total_counts[k] - left_counts.get(k, 0) for k in total_counts}
-            right_counts = {k: v for k, v in right_counts.items() if v > 0}
-            weighted = (n_left * _gini_from_counts(left_counts, n_left)
-                        + n_right * _gini_from_counts(right_counts, n_right)) / n
-            if weighted >= parent:
-                continue
-            if best is None or weighted < best[0]:
-                best = (weighted, dim, threshold)
-    return best
-
-
-def _grow(points: np.ndarray, labels: list, max_depth: int, min_leaf: int, depth: int) -> TreeNode:
-    counts: dict = {}
-    for y in labels:
-        counts[y] = counts.get(y, 0) + 1
-    if depth >= max_depth or len(counts) == 1 or len(labels) < 2 * min_leaf:
-        return TreeNode(counts=counts, label=_majority(counts))
-    best = _best_split(points, labels, min_leaf)
+def _grow(points: np.ndarray, codes: np.ndarray, distinct: list, max_depth: int,
+          min_leaf: int, depth: int) -> TreeNode:
+    counts = np.bincount(codes, minlength=len(distinct))
+    leaf = TreeNode(counts={distinct[c]: int(k) for c, k in enumerate(counts) if k},
+                    label=distinct[int(np.argmax(counts))])
+    if depth >= max_depth or len(leaf.counts) == 1 or len(codes) < 2 * min_leaf:
+        return leaf
+    best = _best_split(points, codes, counts, min_leaf)
     if best is None:
-        return TreeNode(counts=counts, label=_majority(counts))
-    _, dim, threshold = best
+        return leaf
+    dim, threshold = best
     mask = points[:, dim] <= threshold
-    left = _grow(points[mask], [y for y, m in zip(labels, mask) if m],
-                 max_depth, min_leaf, depth + 1)
-    right = _grow(points[~mask], [y for y, m in zip(labels, mask) if not m],
-                  max_depth, min_leaf, depth + 1)
+    left, right = (_grow(points[m], codes[m], distinct, max_depth, min_leaf, depth + 1)
+                   for m in (mask, ~mask))
     return TreeNode(dim=dim, threshold=threshold, left=left, right=right)
 
 
@@ -127,9 +113,13 @@ def fit_tree(points, labels, max_depth: int = 6, min_leaf: int = 5) -> DecisionT
     distinct = sorted(set(labels), key=str)
     if len(distinct) < 2:
         raise ContractError("need samples from two regions")
+    if min_leaf < 1 or max_depth < 1:
+        raise ContractError(f"min_leaf {min_leaf} and max_depth {max_depth} must be at least 1")
     if len(labels) < 2 * min_leaf:
         raise ContractError(f"need at least {2 * min_leaf} samples, got {len(labels)}")
-    root = _grow(points, labels, max_depth, min_leaf, 0)
+    code_of = {label: c for c, label in enumerate(distinct)}
+    codes = np.array([code_of[y] for y in labels], dtype=np.intp)
+    root = _grow(points, codes, distinct, max_depth, min_leaf, 0)
     tree = DecisionTree(root, max_depth, min_leaf, distinct, 0.0)
     predictions = tree.predict(points)
     tree.training_accuracy = sum(p == y for p, y in zip(predictions, labels)) / len(labels)

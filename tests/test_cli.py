@@ -436,6 +436,20 @@ class TestExitCodes:
         assert not (tmp_path / "tree.json").exists()
         assert not (tmp_path / "tree_report.txt").exists()
 
+    @pytest.mark.parametrize("region,size", [
+        ("pred:means,causes", ["--min-leaf", "0"]),
+        ("pred:means,causes", ["--min-leaf", "-4"]),
+        # a depth-0 tree here is one 'cause' leaf: an empty path and moves that change nothing
+        ("topic:is-a,cause", ["--max-depth", "0"]),
+    ], ids=["min_leaf_0", "min_leaf_negative", "max_depth_0"])
+    def test_tree_meaningless_size_is_three(self, tiny_ckpt, tmp_path, capsys, region, size):
+        out = tmp_path / "out"
+        assert main(["tree", "--checkpoint", tiny_ckpt["ckpt"], "--corpus", tiny_ckpt["corpus"],
+                     "--region", region, *size, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "at least 1" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_truncated_checkpoint_is_three(self, tmp_path, capsys):
         sentences = cg.generate_sentences(5, 12)
         bundle, _ = train_bundle([s.tokens for s in sentences], epochs=0, codebook_size=8,

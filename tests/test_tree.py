@@ -4,12 +4,27 @@ path extraction, and guided movement across a synthetic latent boundary.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqlat import tree as tc
 from vqlat.errors import ContractError
 from vqlat.quantizer import Codebook
 
 from tests.oracles import fit_tree_bruteforce, predict_tree_bruteforce
+
+# 10 sorts before 9 as a string: the tie rules follow string order, not numeric order.
+LABEL_SETS = (("A", "B"), ("A", "B", "C"), (0, 1), (10, 9), (10, 9, 100))
+
+
+def assert_same_nodes(node, oracle):
+    """Node-by-node equality: split dims, exact thresholds, leaf labels."""
+    if node.is_leaf:
+        assert oracle.label is not None and node.label == oracle.label
+        return
+    assert oracle.label is None and node.dim == oracle.dim and node.threshold == oracle.threshold
+    assert_same_nodes(node.left, oracle.left)
+    assert_same_nodes(node.right, oracle.right)
 
 
 class TestFitTree:
@@ -35,6 +50,12 @@ class TestFitTree:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ContractError):
             tc.fit_tree(np.zeros((3, 2)), ["A", "B", "A"], max_depth=2, min_leaf=2)
+
+    @pytest.mark.parametrize("max_depth,min_leaf", [(3, 0), (3, -4), (0, 1), (-1, 1)])
+    def test_meaningless_sizes_rejected(self, max_depth, min_leaf):
+        with pytest.raises(ContractError, match="at least 1"):
+            tc.fit_tree(np.array([[0.0], [1.0]]), ["A", "B"], max_depth=max_depth,
+                        min_leaf=min_leaf)
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(0)
@@ -64,6 +85,22 @@ class TestFitTree:
         got = tree.predict(probes)
         want = [predict_tree_bruteforce(oracle, p) for p in probes.tolist()]
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=st.booleans(), classes=st.sampled_from(LABEL_SETS), n=st.integers(6, 40),
+           dims=st.integers(1, 4), min_leaf=st.integers(1, 3), max_depth=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_bruteforce_oracle_node_by_node(self, grid, classes, n, dims, min_leaf,
+                                                    max_depth, seed):
+        """Small-integer grids give tied values and tied candidate impurities."""
+        rng = np.random.default_rng(seed)
+        points = (rng.integers(0, 4, (n, dims)).astype(np.float64) if grid
+                  else rng.standard_normal((n, dims)))
+        labels = [classes[i] for i in rng.integers(0, len(classes), n)]
+        labels[:2] = classes[:2]  # both regions present
+        tree = tc.fit_tree(points, labels, max_depth=max_depth, min_leaf=min_leaf)
+        assert_same_nodes(tree.root,
+                          fit_tree_bruteforce(points.tolist(), labels, max_depth, min_leaf))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
