@@ -194,17 +194,18 @@ def cmd_interpolate(args) -> int:
     pad = bundle.end_token_index()
 
     ends = sorted({k for pair in pairs for k in pair})
-    indices = dict(zip(ends, (idx for idx, _ in bundle.quantize_ids(
-        sentences_to_ids([tokens[k] for k in ends], bundle.vocab)))))
+    indices = dict(zip(ends, bundle.quantize_ids(
+        sentences_to_ids([tokens[k] for k in ends], bundle.vocab))))
     paths = [geo.interpolate(indices[i], indices[j], bundle.codebook, pad_index=pad)
              for i, j in pairs]
-    decodes = _decode_groups(bundle, [[step.indices for step in path.steps] for path in paths])
+    decodes = _decode_groups(bundle, [steps for _, steps in paths])
     distinct = list(dict.fromkeys(tuple(words) for steps in decodes for words in steps))
     embeddings = dict(zip(distinct, bundle.wmd_embeddings(distinct)))
     scores = [geo.interpolation_smoothness(steps, embeddings) for steps in decodes]
 
-    for (i, j), path, steps in zip(pairs, paths, decodes):
-        atomic_write_text(os.path.join(args.out, f"path_{i}_{j}.txt"), geo.dump_path(path, steps))
+    for (i, j), (times, steps), decoded in zip(pairs, paths, decodes):
+        atomic_write_text(os.path.join(args.out, f"path_{i}_{j}.txt"),
+                          geo.dump_path(times, steps, decoded))
     report = (f"pairs\t{len(scores)}\n"
               f"avg IS\t{fmt(float(np.mean(scores)))}\n"
               f"max IS\t{fmt(float(np.max(scores)))}\n"
@@ -244,8 +245,8 @@ def cmd_arith(args) -> int:
 def cmd_disentangle(args) -> int:
     bundle = load_bundle(args.checkpoint)
     sentences = cg.load_corpus(args.corpus)
-    quantized = bundle.quantize_ids(sentences_to_ids([s.tokens for s in sentences], bundle.vocab))
-    occurrences = [(s.tokens, s.roles, indices) for s, (indices, _) in zip(sentences, quantized)]
+    indices = bundle.quantize_ids(sentences_to_ids([s.tokens for s in sentences], bundle.vocab))
+    occurrences = [(s.tokens, s.roles, row) for s, row in zip(sentences, indices)]
     stats = geo.disentanglement_stats(occurrences, bundle.codebook)
     lines = ["role_content\tnum_centers\tavg_dis\tmax_dis\tmin_dis"]
     lines += [f"{s.label}\t{s.num_centers}\t{fmt(s.avg_dis)}\t{fmt(s.max_dis)}\t{fmt(s.min_dis)}"
@@ -355,9 +356,8 @@ def cmd_infer(args) -> int:
         and_index = bundle.connective_index(carrier or ["a", "shark", "can", "swim", "and", "fly"])
 
     premises = [p for p1, p2, _ in instances for p in (p1, p2)]
-    quantized = bundle.quantize_ids(sentences_to_ids([p.tokens for p in premises], bundle.vocab))
-    latents = [geo.SentenceLatents(p.tokens, p.roles, indices)
-               for p, (indices, _) in zip(premises, quantized)]
+    indices = bundle.quantize_ids(sentences_to_ids([p.tokens for p in premises], bundle.vocab))
+    latents = [geo.SentenceLatents(p.tokens, p.roles, row) for p, row in zip(premises, indices)]
 
     # raises NoAnchorError (exit 3) where derive_conclusion gave None
     hybrids = [geo.substitute(s1, s2, args.op, bundle.codebook, and_index=and_index)

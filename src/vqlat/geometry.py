@@ -2,7 +2,7 @@
 
 Everything here operates on quantized latents, as rows of codebook entry
 indices, and a codebook snapshot: interpolation paths with their smoothness
-ratio, exact optimal-transport alignment between embedding bags, per-position
+ratio, the exact optimal-transport cost between embedding bags, per-position
 traversal, latent addition, role-content dispersion statistics, and span
 substitution between premises.  All functions are pure given the codebook
 snapshot; none decodes, so the control functions return the indices they build.
@@ -23,25 +23,15 @@ from .quantizer import Codebook, pairwise_sq_dists, quantize_kmeans
 # -- interpolation --------------------------------------------------------------
 
 
-@dataclass
-class PathStep:
-    t: float
-    indices: np.ndarray
-
-
-@dataclass
-class InterpolationPath:
-    steps: list[PathStep]
-    step_size: float
-
-
 def _euclidean_to_entries(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return np.sqrt(pairwise_sq_dists(rows.astype(np.float64), entries.astype(np.float64)))
 
 
 def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
-                step_size: float = 0.1, pad_index: int | None = None) -> InterpolationPath:
-    """Stepwise path from source to target entry indices.
+                step_size: float = 0.1,
+                pad_index: int | None = None) -> tuple[list[float], np.ndarray]:
+    """Stepwise path from source to target entry indices: the step times ``t``
+    and the ``[steps, L]`` entry indices of every step, source first.
 
     At each step every position moves to the entry minimizing the weighted
     pair of distances ``(1-t)*d(previous, entry) + t*d(target, entry)``, so the
@@ -74,35 +64,30 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
 
     tgt_dists = entry_dists(target)
     n_steps = round(1.0 / step_size)
-    steps = [PathStep(0.0, source.copy())]
-    for k in range(1, n_steps + 1):
-        t = min(k * step_size, 1.0) if k < n_steps else 1.0
-        cost = (1.0 - t) * entry_dists(steps[-1].indices) + t * tgt_dists
-        steps.append(PathStep(t, np.argmin(cost, axis=1)))
-    return InterpolationPath(steps, step_size)
+    times = [0.0] + [min(k * step_size, 1.0) if k < n_steps else 1.0
+                     for k in range(1, n_steps + 1)]
+    steps = [source]
+    for t in times[1:]:
+        steps.append(np.argmin((1.0 - t) * entry_dists(steps[-1]) + t * tgt_dists, axis=1))
+    return times, np.stack(steps)
 
 
-def dump_path(path: InterpolationPath, decoded: Sequence[Sequence]) -> str:
-    """One ``t<TAB>indices<TAB>decoded sentence`` line per step."""
+def dump_path(times: Sequence[float], steps: np.ndarray, decoded: Sequence[Sequence]) -> str:
+    """One ``t<TAB>indices<TAB>decoded sentence`` line per step of an
+    :func:`interpolate` path."""
     lines = []
-    for step, words in zip(path.steps, decoded, strict=True):
-        indices = ",".join(str(int(i)) for i in step.indices)
+    for t, indices, words in zip(times, steps, decoded, strict=True):
+        indices = ",".join(str(int(i)) for i in indices)
         sentence = " ".join(str(tok) for tok in words)
-        lines.append(f"{step.t:.2f}\t{indices}\t{sentence}")
+        lines.append(f"{t:.2f}\t{indices}\t{sentence}")
     return "\n".join(lines) + "\n"
 
 
 # -- word mover's distance -------------------------------------------------------
 
 
-@dataclass
-class AlignmentResult:
-    cost: float
-    plan: np.ndarray  # [len(a), len(b)] transported mass
-
-
-def wmd(a: np.ndarray, b: np.ndarray) -> AlignmentResult:
-    """Exact optimal transport between two uniform bags of embeddings.
+def wmd(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact optimal-transport cost between two uniform bags of embeddings.
 
     Each side distributes unit mass uniformly over its rows; ground cost is
     Euclidean distance.  Both sides are expanded to lcm-many equal atoms,
@@ -123,12 +108,7 @@ def wmd(a: np.ndarray, b: np.ndarray) -> AlignmentResult:
     rep_a, rep_b = size // la, size // lb
     expanded = np.repeat(np.repeat(base_cost, rep_a, axis=0), rep_b, axis=1)
     rows, cols = linear_sum_assignment(expanded)
-
-    plan = np.zeros((la, lb))
-    for r, c in zip(rows, cols):
-        plan[r // rep_a, c // rep_b] += 1.0 / size
-    cost = float(expanded[rows, cols].sum() / size)
-    return AlignmentResult(cost, plan)
+    return float(expanded[rows, cols].sum() / size)
 
 
 def interpolation_smoothness(decoded: Sequence[Sequence],
@@ -149,10 +129,10 @@ def interpolation_smoothness(decoded: Sequence[Sequence],
     if len(unique) < 2:
         return 1.0
     embeddings = [embeddings[sentence] for sentence in unique]
-    denom = sum(wmd(embeddings[i], embeddings[i + 1]).cost for i in range(len(embeddings) - 1))
+    denom = sum(wmd(embeddings[i], embeddings[i + 1]) for i in range(len(embeddings) - 1))
     if denom <= 1e-12:
         return 1.0
-    return wmd(embeddings[0], embeddings[-1]).cost / denom
+    return wmd(embeddings[0], embeddings[-1]) / denom
 
 
 # -- traversal and arithmetic ------------------------------------------------------

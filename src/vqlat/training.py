@@ -74,18 +74,20 @@ class ModelBundle:
         """Continuous (pre-quantization) latent rows for a word sequence."""
         return self.encode_ids(sentences_to_ids([words], self.vocab))[0]
 
-    def quantize_ids(self, ids: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Nearest-entry indices and quantized latent rows of each id sequence, in
-        input order, from one quantizer call over every encoded row."""
+    def quantize_ids(self, ids: list[np.ndarray]) -> list[np.ndarray]:
+        """Nearest-entry indices [L] of each id sequence, in input order, from one
+        quantizer call over every encoded row."""
         encoded = self.encode_ids(ids)
         if not encoded:
             return []
-        indices, quantized = quantize_kmeans(np.concatenate(encoded), self.codebook)
-        cuts = np.cumsum([len(rows) for rows in encoded])[:-1]
-        return list(zip(np.split(indices, cuts), np.split(quantized, cuts)))
+        indices, _ = quantize_kmeans(np.concatenate(encoded), self.codebook)
+        return np.split(indices, np.cumsum([len(rows) for rows in encoded])[:-1])
 
     def quantize_words(self, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        return self.quantize_ids(sentences_to_ids([words], self.vocab))[0]
+        """Entry indices and quantized latent rows of a word sequence; the benchmark
+        checks read both halves."""
+        [indices] = self.quantize_ids(sentences_to_ids([words], self.vocab))
+        return indices, self.codebook.entries[indices]
 
     def decode_ids(self, indices, max_len: int | None = None) -> list[list[int]]:
         """Greedy decodes of entry-index rows [L] of any lengths, in input order.
@@ -111,11 +113,11 @@ class ModelBundle:
         the end marker's latent so distance comparisons stay total."""
         ids = [row if row.size else np.array([self.vocab.END], dtype=np.int64)
                for row in sentences_to_ids(sentences, self.vocab)]
-        return [rows for _, rows in self.quantize_ids(ids)]
+        return [self.codebook.entries[indices] for indices in self.quantize_ids(ids)]
 
     def end_token_index(self) -> int:
         """Index of the entry nearest the end marker's embedding; used as padding."""
-        return int(self.quantize_ids([np.array([self.vocab.END], dtype=np.int64)])[0][0][0])
+        return int(self.quantize_ids([np.array([self.vocab.END], dtype=np.int64)])[0][0])
 
     def end_token_latent(self) -> np.ndarray:
         """The entry row of :meth:`end_token_index`."""

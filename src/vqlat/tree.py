@@ -151,16 +151,10 @@ class PathConstraint:
     branch: str  # "<=" or ">"
 
 
-@dataclass
-class TreePath:
-    steps: list[PathConstraint]
-    leaf_counts: dict
-    leaf_label: object
-
-
-def extract_path(tree: DecisionTree, target_label) -> TreePath:
-    """Path to the purest target leaf, ties broken by larger sample count."""
-    best = None  # (purity, count, order, steps, counts)
+def extract_path(tree: DecisionTree, target_label) -> list[PathConstraint]:
+    """Root-to-leaf constraints of the purest leaf labelled ``target_label``,
+    ties broken by larger sample count, then by the leftmost leaf."""
+    best = None  # ((purity, count, -order), constraints)
     order = 0
 
     def visit(node: TreeNode, steps: list[PathConstraint]):
@@ -171,7 +165,7 @@ def extract_path(tree: DecisionTree, target_label) -> TreePath:
                 purity = node.counts.get(target_label, 0) / total
                 key = (purity, total, -order)
                 if best is None or key > best[0]:
-                    best = (key, list(steps), node.counts)
+                    best = (key, steps)
             order += 1
             return
         visit(node.left, steps + [PathConstraint(node.dim, node.threshold, "<=")])
@@ -180,11 +174,11 @@ def extract_path(tree: DecisionTree, target_label) -> TreePath:
     visit(tree.root, [])
     if best is None:
         raise ContractError(f"tree has no leaf labelled {target_label!r}")
-    return TreePath(best[1], dict(best[2]), target_label)
+    return best[1]
 
 
-def format_path(path: TreePath) -> str:
-    return ", ".join(f"dim {c.dim} {c.branch} {c.threshold:.3f}" for c in path.steps)
+def format_path(path: list[PathConstraint]) -> str:
+    return ", ".join(f"dim {c.dim} {c.branch} {c.threshold:.3f}" for c in path)
 
 
 def default_margins(train_points) -> np.ndarray:
@@ -194,7 +188,7 @@ def default_margins(train_points) -> np.ndarray:
     return np.maximum(0.05 * spread, 1e-3)
 
 
-def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
+def guided_move(sentence_rows: np.ndarray, path: list[PathConstraint], margin,
                 codebook: Codebook) -> np.ndarray:
     """Walk the sentence across region boundaries one dimension at a time.
 
@@ -210,7 +204,7 @@ def guided_move(sentence_rows: np.ndarray, path: TreePath, margin,
     if not (np.isfinite(margin) & (margin > 0)).all():
         raise ContractError("margin must be finite and positive")
     moved = []
-    for constraint in path.steps:
+    for constraint in path:
         eps = float(margin[constraint.dim])
         value = pooled[constraint.dim]
         if constraint.branch == "<=":

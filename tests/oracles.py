@@ -118,6 +118,24 @@ def min_permutation_cost(a: np.ndarray, b: np.ndarray) -> float:
     return best / n
 
 
+def transport_cost_lp(a: np.ndarray, b: np.ndarray) -> float:
+    """Optimal-transport cost between uniform embedding bags of any lengths.
+
+    Solves the ``[la, lb]`` transportation linear program directly: row sums
+    ``1/la``, column sums ``1/lb``, Euclidean ground cost.
+    """
+    from scipy.optimize import linprog
+
+    la, lb = a.shape[0], b.shape[0]
+    ground = [float(np.linalg.norm(a[i] - b[j])) for i in range(la) for j in range(lb)]
+    rows = [[1.0 if k // lb == i else 0.0 for k in range(la * lb)] for i in range(la)]
+    cols = [[1.0 if k % lb == j else 0.0 for k in range(la * lb)] for j in range(lb)]
+    result = linprog(ground, A_eq=rows + cols, b_eq=[1.0 / la] * la + [1.0 / lb] * lb,
+                     bounds=(0, None), method="highs")
+    assert result.status == 0, result.message
+    return float(result.fun)
+
+
 class OracleTreeNode:
     def __init__(self, dim=None, threshold=None, left=None, right=None, label=None):
         self.dim = dim

@@ -374,8 +374,8 @@ def test_criterion_07_interpolation_suite(trained_fixture):
         pad = bundle.end_token_index()
         rng = np.random.default_rng(77)
 
-        def smoothness(path):
-            decoded = bundle.decode_words([step.indices for step in path.steps])
+        def smoothness(steps):
+            decoded = bundle.decode_words(steps)
             distinct = list(dict.fromkeys(tuple(words) for words in decoded))
             embeddings = dict(zip(distinct, bundle.wmd_embeddings(distinct)))
             return geo.interpolation_smoothness(decoded, embeddings)
@@ -385,15 +385,15 @@ def test_criterion_07_interpolation_suite(trained_fixture):
             i, j = int(rng.integers(len(tokens))), int(rng.integers(len(tokens)))
             src_idx, _ = bundle.quantize_words(tokens[i])
             tgt_idx, _ = bundle.quantize_words(tokens[j])
-            path = geo.interpolate(src_idx, tgt_idx, codebook, pad_index=pad)
-            for step in path.steps:
-                assert np.issubdtype(step.indices.dtype, np.integer)
-                assert ((0 <= step.indices) & (step.indices < codebook.size)).all()
+            _, steps = geo.interpolate(src_idx, tgt_idx, codebook, pad_index=pad)
+            for indices in steps:
+                assert np.issubdtype(indices.dtype, np.integer)
+                assert ((0 <= indices) & (indices < codebook.size)).all()
             length = max(len(tokens[i]), len(tokens[j]))
-            assert path.steps[0].indices.shape[0] == length
-            np.testing.assert_array_equal(path.steps[0].indices[:len(tokens[i])], src_idx)
-            np.testing.assert_array_equal(path.steps[-1].indices[:len(tokens[j])], tgt_idx)
-            score = smoothness(path)
+            assert steps[0].shape[0] == length
+            np.testing.assert_array_equal(steps[0][:len(tokens[i])], src_idx)
+            np.testing.assert_array_equal(steps[-1][:len(tokens[j])], tgt_idx)
+            score = smoothness(steps)
             assert score <= 1 + 1e-9
             scores.append(score)
         print(f"    interpolation smoothness over 100 pairs: "
@@ -401,15 +401,15 @@ def test_criterion_07_interpolation_suite(trained_fixture):
 
         # source == target collapses to the degenerate path
         src_idx, _ = bundle.quantize_words(tokens[0])
-        path = geo.interpolate(src_idx, src_idx.copy(), codebook)
-        assert smoothness(path) == 1.0
+        _, steps = geo.interpolate(src_idx, src_idx.copy(), codebook)
+        assert smoothness(steps) == 1.0
 
         for case in range(30):
             case_rng = np.random.default_rng(1000 + case)
             n = int(case_rng.integers(1, 5))
             a = case_rng.standard_normal((n, 6))
             b = case_rng.standard_normal((n, 6))
-            assert geo.wmd(a, b).cost == pytest.approx(min_permutation_cost(a, b), abs=1e-9)
+            assert geo.wmd(a, b) == pytest.approx(min_permutation_cost(a, b), abs=1e-9)
 
 
 # -- 8: tree suite ------------------------------------------------------------------

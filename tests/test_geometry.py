@@ -14,7 +14,7 @@ from vqlat.errors import ContractError, NoAnchorError
 from vqlat.quantizer import Codebook, QuantizerConfig, quantize_kmeans
 from vqlat.training import ModelBundle
 
-from tests.oracles import interpolate_per_step, min_permutation_cost
+from tests.oracles import interpolate_per_step, min_permutation_cost, transport_cost_lp
 
 
 def make_codebook(entries):
@@ -30,22 +30,22 @@ def cb():
 class TestInterpolate:
     def test_source_equals_target_is_constant(self, cb):
         src = np.array([0, 3])
-        path = geo.interpolate(src, src.copy(), cb)
-        assert len(path.steps) == 11
-        for step in path.steps:
-            np.testing.assert_array_equal(step.indices, src)
+        times, steps = geo.interpolate(src, src.copy(), cb)
+        assert len(times) == len(steps) == 11
+        for row in steps:
+            np.testing.assert_array_equal(row, src)
 
     def test_final_step_matches_target_indices(self, cb):
-        path = geo.interpolate(np.array([0, 1]), np.array([4, 5]), cb)
-        assert path.steps[0].indices.tolist() == [0, 1]
-        assert path.steps[-1].t == 1.0
-        assert path.steps[-1].indices.tolist() == [4, 5]
+        times, steps = geo.interpolate(np.array([0, 1]), np.array([4, 5]), cb)
+        assert steps[0].tolist() == [0, 1]
+        assert times[0] == 0.0 and times[-1] == 1.0
+        assert steps[-1].tolist() == [4, 5]
 
     def test_all_rows_are_codebook_entries(self, cb):
-        path = geo.interpolate(np.array([2, 0]), np.array([5, 3]), cb)
-        for step in path.steps:
-            assert np.issubdtype(step.indices.dtype, np.integer)
-            assert ((0 <= step.indices) & (step.indices < cb.size)).all()
+        _, steps = geo.interpolate(np.array([2, 0]), np.array([5, 3]), cb)
+        assert steps.shape == (11, 2)
+        assert np.issubdtype(steps.dtype, np.integer)
+        assert ((0 <= steps) & (steps < cb.size)).all()
 
     def test_matches_exhaustive_argmin_oracle(self):
         rng = np.random.default_rng(1)
@@ -53,7 +53,7 @@ class TestInterpolate:
             cb = make_codebook(rng.standard_normal((4, 3)))
             src = rng.integers(0, 4, size=2)
             tgt = rng.integers(0, 4, size=2)
-            path = geo.interpolate(src, tgt, cb)
+            _, steps = geo.interpolate(src, tgt, cb)
             prev = cb.entries[src]
             for k in range(1, 11):
                 t = 1.0 if k == 10 else k * 0.1
@@ -63,7 +63,7 @@ class TestInterpolate:
                              + t * np.linalg.norm(cb.entries[tgt[i]].astype(np.float64) - e)
                              for e in cb.entries.astype(np.float64)]
                     expected.append(int(np.argmin(costs)))
-                assert path.steps[k].indices.tolist() == expected, (trial, k)
+                assert steps[k].tolist() == expected, (trial, k)
                 prev = cb.entries[expected]
 
     @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicate-entries"])
@@ -79,26 +79,26 @@ class TestInterpolate:
             tgt = rng.integers(0, k, size=int(rng.integers(1, 7)))
             pad = int(rng.integers(0, k))
             step_size = (0.1, 0.25, 0.3, 1.0)[trial % 4]
-            path = geo.interpolate(src, tgt, cb, step_size=step_size, pad_index=pad)
+            times, steps = geo.interpolate(src, tgt, cb, step_size=step_size, pad_index=pad)
             want = interpolate_per_step(src, tgt, cb.entries, step_size, pad)
-            assert len(path.steps) == len(want)
-            for got, (t, indices) in zip(path.steps, want):
-                assert got.t == t
-                assert got.indices.tolist() == indices.tolist(), (trial, t)
+            assert len(times) == len(steps) == len(want)
+            for got_t, got, (t, indices) in zip(times, steps, want):
+                assert got_t == t
+                assert got.tolist() == indices.tolist(), (trial, t)
 
     def test_length_mismatch_without_padding(self, cb):
         with pytest.raises(ContractError):
             geo.interpolate(np.array([0]), np.array([1, 2]), cb)
 
     def test_padding_extends_shorter_side(self, cb):
-        path = geo.interpolate(np.array([0]), np.array([1, 2]), cb, pad_index=5)
-        assert path.steps[0].indices.tolist() == [0, 5]
-        assert path.steps[-1].indices.tolist() == [1, 2]
+        _, steps = geo.interpolate(np.array([0]), np.array([1, 2]), cb, pad_index=5)
+        assert steps[0].tolist() == [0, 5]
+        assert steps[-1].tolist() == [1, 2]
 
     def test_dump_format(self, cb):
-        path = geo.interpolate(np.array([0]), np.array([1]), cb)
-        decoded = [[f"w{i}" for i in step.indices] for step in path.steps]
-        lines = geo.dump_path(path, decoded).strip().split("\n")
+        times, steps = geo.interpolate(np.array([0]), np.array([1]), cb)
+        decoded = [[f"w{i}" for i in row] for row in steps]
+        lines = geo.dump_path(times, steps, decoded).strip().split("\n")
         assert len(lines) == 11
         t, indices, sentence = lines[0].split("\t")
         assert t == "0.00" and indices == "0" and sentence == "w0"
@@ -108,10 +108,10 @@ class TestInterpolate:
 def test_interpolate_reads_endpoint_indices_without_quantizing(cb, monkeypatch):
     calls = []
     monkeypatch.setattr(geo, "quantize_kmeans", lambda *a: calls.append(a) or quantize_kmeans(*a))
-    path = geo.interpolate(np.array([2, 0]), np.array([5, 3]), cb)
+    _, steps = geo.interpolate(np.array([2, 0]), np.array([5, 3]), cb)
     assert calls == []
-    assert path.steps[0].indices.tolist() == [2, 0]
-    assert path.steps[-1].indices.tolist() == [5, 3]
+    assert steps[0].tolist() == [2, 0]
+    assert steps[-1].tolist() == [5, 3]
 
 
 @pytest.mark.parametrize("bad", [-1, 6, 1.0], ids=["negative", "K", "float"])
@@ -151,13 +151,13 @@ class TestWmd:
     def test_identical_sequences_cost_zero(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 5))
-        assert geo.wmd(a, a.copy()).cost == pytest.approx(0.0, abs=1e-12)
+        assert geo.wmd(a, a.copy()) == pytest.approx(0.0, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 3))
         b = a[[3, 1, 4, 0, 2]]
-        assert geo.wmd(a, b).cost == pytest.approx(0.0, abs=1e-12)
+        assert geo.wmd(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_permutation_oracle_equal_lengths(self):
         rng = np.random.default_rng(4)
@@ -165,21 +165,24 @@ class TestWmd:
             n = int(rng.integers(1, 5))
             a = rng.standard_normal((n, 3))
             b = rng.standard_normal((n, 3))
-            assert geo.wmd(a, b).cost == pytest.approx(min_permutation_cost(a, b), abs=1e-9)
+            assert geo.wmd(a, b) == pytest.approx(min_permutation_cost(a, b), abs=1e-9)
 
     def test_unequal_lengths_split_mass(self):
         a = np.array([[0.0]])
         b = np.array([[0.0], [2.0]])
-        result = geo.wmd(a, b)
-        assert result.cost == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(result.plan, [[0.5, 0.5]])
+        assert geo.wmd(a, b) == pytest.approx(1.0, abs=1e-12)
 
-    def test_plan_marginals_are_uniform(self):
+    def test_matches_transport_lp_oracle(self):
+        """Lengths 1-5 on each side, unequal ones included, against the
+        ``[la, lb]`` transportation LP solved without the lcm expansion."""
         rng = np.random.default_rng(5)
-        a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 4))
-        plan = geo.wmd(a, b).plan
-        np.testing.assert_allclose(plan.sum(axis=1), 1 / 3, atol=1e-12)
-        np.testing.assert_allclose(plan.sum(axis=0), 1 / 4, atol=1e-12)
+        lengths = set()
+        for _ in range(60):
+            la, lb = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            lengths.add((la, lb))
+            a, b = rng.standard_normal((la, 3)), rng.standard_normal((lb, 3))
+            assert geo.wmd(a, b) == pytest.approx(transport_cost_lp(a, b), abs=1e-9), (la, lb)
+        assert any(la != lb for la, lb in lengths)
 
     def test_pseudometric_properties(self):
         rng = np.random.default_rng(6)
@@ -187,10 +190,10 @@ class TestWmd:
             a = rng.standard_normal((int(rng.integers(1, 5)), 3))
             b = rng.standard_normal((int(rng.integers(1, 5)), 3))
             c = rng.standard_normal((int(rng.integers(1, 5)), 3))
-            ab, ba = geo.wmd(a, b).cost, geo.wmd(b, a).cost
+            ab, ba = geo.wmd(a, b), geo.wmd(b, a)
             assert ab >= 0
             assert ab == pytest.approx(ba, abs=1e-9)
-            assert ab <= geo.wmd(a, c).cost + geo.wmd(c, b).cost + 1e-7
+            assert ab <= geo.wmd(a, c) + geo.wmd(c, b) + 1e-7
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):

@@ -135,16 +135,18 @@ class TestMemorization:
         ids = sentences_to_ids(memorization_fixture["tokens"], bundle.vocab)
         lengths = [len(row) for row in ids]
         assert len(set(lengths)) > 1 and lengths != sorted(lengths)  # input order is restored
-        want = [greedy_generate_one(bundle.quantize_ids([row])[0][1], bundle.params, bundle.config,
-                                    len(row) + 2, bundle.vocab.START, bundle.vocab.END)
+        entries = bundle.codebook.entries
+        want = [greedy_generate_one(entries[bundle.quantize_ids([row])[0]], bundle.params,
+                                    bundle.config, len(row) + 2, bundle.vocab.START,
+                                    bundle.vocab.END)
                 for row in ids]
         assert reconstruct(bundle, ids)[0] == want
 
     def test_decode_ids_decodes_each_distinct_sequence_once_per_length(
             self, memorization_fixture, monkeypatch):
         bundle = memorization_fixture["bundle"]
-        quantized = [indices for indices, _ in bundle.quantize_ids(
-            sentences_to_ids(memorization_fixture["tokens"], bundle.vocab))]
+        quantized = bundle.quantize_ids(sentences_to_ids(memorization_fixture["tokens"],
+                                                         bundle.vocab))
         # mixed lengths, repeats, and an equal copy that is a different array
         rows = [quantized[i] for i in (3, 0, 3, 1, 0, 2, 3)] + [quantized[1].copy()]
         distinct = {tuple(row): row for row in rows}
@@ -215,11 +217,9 @@ class TestSharedPasses:
         bundle = memorization_fixture["bundle"]
         got = bundle.quantize_ids(shuffled_ids)
         assert len(got) == len(shuffled_ids)
-        for row, (indices, quantized) in zip(shuffled_ids, got):
+        for row, indices in zip(shuffled_ids, got):
             encoded = md.encode_batch(row[None], bundle.params, bundle.config).data[0]
-            want_indices, want_quantized = quantize_kmeans(encoded, bundle.codebook)
-            assert np.array_equal(indices, want_indices)
-            assert np.array_equal(quantized, want_quantized)
+            assert np.array_equal(indices, quantize_kmeans(encoded, bundle.codebook)[0])
 
     def test_quantize_ids_of_nothing_is_empty(self, memorization_fixture):
         assert memorization_fixture["bundle"].quantize_ids([]) == []
@@ -239,8 +239,8 @@ class TestSharedPasses:
         for model in (bundle, untrained):
             decodes, accuracy = reconstruct(model, shuffled_ids)
             assert decodes == [greedy_generate_one(
-                model.quantize_ids([row])[0][1], model.params, model.config, len(row) + 2,
-                model.vocab.START, model.vocab.END) for row in shuffled_ids]
+                model.codebook.entries[model.quantize_ids([row])[0]], model.params, model.config,
+                len(row) + 2, model.vocab.START, model.vocab.END) for row in shuffled_ids]
             words = [[model.vocab.word_of(i) for i in row] for row in shuffled_ids]
             assert accuracy == token_accuracy_per_length(model, words)
             assert token_accuracy(model, words) == accuracy

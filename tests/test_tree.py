@@ -27,6 +27,18 @@ def assert_same_nodes(node, oracle):
     assert_same_nodes(node.right, oracle.right)
 
 
+def leaf_at(tree, path):
+    """The leaf a path's constraints lead to, asserting on the way that each
+    constraint is exactly the split of the node it passes."""
+    node = tree.root
+    for constraint in path:
+        assert not node.is_leaf
+        assert (constraint.dim, constraint.threshold) == (node.dim, node.threshold)
+        node = node.left if constraint.branch == "<=" else node.right
+    assert node.is_leaf
+    return node
+
+
 class TestFitTree:
     def test_one_dim_forced_midpoint(self):
         points = np.array([[-1.0], [1.0]])
@@ -153,9 +165,7 @@ class TestExtractPath:
     def test_depth_one_single_constraint(self):
         points = np.array([[-1.0], [1.0]])
         tree = tc.fit_tree(points, ["A", "B"], max_depth=1, min_leaf=1)
-        path = tc.extract_path(tree, "B")
-        assert len(path.steps) == 1
-        step = path.steps[0]
+        [step] = tc.extract_path(tree, "B")
         assert (step.dim, step.threshold, step.branch) == (0, 0.0, ">")
 
     def test_leaf_samples_satisfy_constraints(self):
@@ -167,12 +177,13 @@ class TestExtractPath:
         satisfying = []
         for p, y in zip(points, labels):
             ok = all(p[c.dim] <= c.threshold if c.branch == "<=" else p[c.dim] > c.threshold
-                     for c in path.steps)
+                     for c in path)
             if ok:
                 satisfying.append(y)
         assert satisfying
         purity = sum(1 for y in satisfying if y == 1) / len(satisfying)
-        assert purity == path.leaf_counts.get(1, 0) / sum(path.leaf_counts.values())
+        counts = leaf_at(tree, path).counts
+        assert purity == counts.get(1, 0) / sum(counts.values())
 
     def test_picks_purest_then_largest(self):
         oracle = fit_tree_bruteforce
@@ -194,9 +205,35 @@ class TestExtractPath:
 
         visit(tree.root, None)
         best = max((p, t) for p, t, lab in leaves if lab == 1)
-        got = (path.leaf_counts.get(1, 0) / sum(path.leaf_counts.values()),
-               sum(path.leaf_counts.values()))
-        assert got == best
+        counts = leaf_at(tree, path).counts
+        assert (counts.get(1, 0) / sum(counts.values()), sum(counts.values())) == best
+
+    def test_paths_walk_the_tree_to_a_target_leaf(self):
+        rng = np.random.default_rng(8)
+        constraints = 0
+        for trial in range(30):
+            dims = int(rng.integers(1, 5))
+            points = rng.standard_normal((int(rng.integers(10, 60)), dims))
+            labels = rng.integers(0, 3, size=len(points)).tolist()
+            if len(set(labels)) < 2:
+                continue
+            tree = tc.fit_tree(points, labels, max_depth=int(rng.integers(1, 5)),
+                               min_leaf=int(rng.integers(1, 4)))
+            leaf_labels = set()
+
+            def visit(node):
+                if node.is_leaf:
+                    leaf_labels.add(node.label)
+                else:
+                    visit(node.left)
+                    visit(node.right)
+
+            visit(tree.root)
+            for label in leaf_labels:
+                path = tc.extract_path(tree, label)
+                assert leaf_at(tree, path).label == label, trial
+                constraints += len(path)
+        assert constraints > 30  # most trees split: the walks are not all trivial
 
     def test_missing_target_label_raises(self):
         points = np.array([[-1.0], [1.0]])
@@ -205,8 +242,7 @@ class TestExtractPath:
             tc.extract_path(tree, "C")
 
     def test_format_matches_figure_style(self):
-        path = tc.TreePath([tc.PathConstraint(27, -0.493, "<="),
-                            tc.PathConstraint(21, -0.891, "<=")], {"A": 3}, "A")
+        path = [tc.PathConstraint(27, -0.493, "<="), tc.PathConstraint(21, -0.891, "<=")]
         assert tc.format_path(path) == "dim 27 <= -0.493, dim 21 <= -0.891"
 
 
@@ -218,20 +254,19 @@ class TestGuidedMove:
         return Codebook(entries)
 
     def test_already_in_target_leaf_one_output_no_edits(self, codebook):
-        path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
+        path = [tc.PathConstraint(0, 0.5, ">")]
         rows = np.array([[0.9, 0.0], [0.9, 1.0]])
         outputs = tc.guided_move(rows, path, 0.05, codebook)
         assert outputs.tolist() == [[2, 3]]
 
     def test_edit_crosses_threshold_and_flips_decoding(self, codebook):
-        path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
+        path = [tc.PathConstraint(0, 0.5, ">")]
         rows = np.array([[0.0, 0.0], [0.0, 1.0]])  # pooled dim0 = 0.0
         outputs = tc.guided_move(rows, path, 0.45, codebook)
         assert outputs.tolist() == [[2, 3]]
 
     def test_each_edit_changes_one_pooled_dimension(self, codebook):
-        path = tc.TreePath([tc.PathConstraint(0, 0.5, ">"),
-                            tc.PathConstraint(1, 0.4, "<=")], {}, 1)
+        path = [tc.PathConstraint(0, 0.5, ">"), tc.PathConstraint(1, 0.4, "<=")]
         rows = np.array([[0.0, 0.9], [0.0, 0.9]])
         edits = tc.guided_move(rows, path, 0.1, codebook)
         assert edits.shape == (2, 2)  # every edit rides in the one returned stack
@@ -250,7 +285,7 @@ class TestGuidedMove:
         margins = tc.default_margins(points)
         tc.guided_move(rows, path, margins, codebook)
         edited = rows.mean(axis=0).copy()
-        for c in path.steps:
+        for c in path:
             eps = margins[c.dim]
             if c.branch == "<=" and not edited[c.dim] <= c.threshold:
                 edited[c.dim] = c.threshold - eps
@@ -259,7 +294,7 @@ class TestGuidedMove:
         assert tree.predict_one(edited) == 1
 
     def test_margin_must_be_positive(self, codebook):
-        path = tc.TreePath([tc.PathConstraint(0, 0.5, ">")], {}, 1)
+        path = [tc.PathConstraint(0, 0.5, ">")]
         with pytest.raises(ContractError):
             tc.guided_move(np.zeros((2, 2)), path, 0.0, codebook)
 
