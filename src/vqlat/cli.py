@@ -62,6 +62,8 @@ class RunConfig(DictCodec):
             raise ContractError("run config is missing 'out_dir'")
         if "seed" in self.schedule:
             raise ContractError("run config sets schedule.seed; set the top-level 'seed' instead")
+        if self.seed < 0:
+            raise ContractError(f"run config seed must be non-negative, got {self.seed}")
 
 
 def load_run_config(path: str, overrides: dict) -> RunConfig:
@@ -312,7 +314,7 @@ def cmd_tree(args) -> int:
 
     tc.save_tree(os.path.join(args.out, "tree.json"), tree)
     report_lines = [f"region\t{args.region}",
-                    f"train_accuracy\t{fmt(tree.training_accuracy)}",
+                    f"train_accuracy\t{fmt(tree['training_accuracy'])}",
                     f"separability\t{fmt(metrics['separability'])}",
                     f"density_precision\t{fmt(metrics['density_precision'])}",
                     f"density_recall\t{fmt(metrics['density_recall'])}",
@@ -380,6 +382,14 @@ def cmd_infer(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
+def seed(text: str) -> int:
+    """The type of every ``--seed`` flag: numpy seeds are non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vqlat",
                                      description="quantized sequence autoencoder toolkit")
@@ -387,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus")
     p.add_argument("--kind", choices=("grammar", "math"), default="grammar")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--count", type=int, default=500)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_corpus)
 
     p = sub.add_parser("train", help="train from a run config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_train)
@@ -411,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, default=None)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--random", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_interpolate)
 
@@ -450,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=cg.INFERENCE_OPS, default="arg_sub")
     p.add_argument("--premises", default=None)
     p.add_argument("--generate", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_infer)
 

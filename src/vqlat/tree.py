@@ -3,6 +3,12 @@
 A binary CART with Gini impurity separates two latent regions; extracted
 root-to-leaf paths define threshold edits that move a sentence's pooled
 latent into the target region, one dimension at a time.
+
+A tree is its ``tree.json`` document, plain JSON values throughout:
+``{"labels", "max_depth", "min_leaf", "root", "training_accuracy"}``, where
+a split node is ``{"dim", "threshold", "left", "right"}`` and a leaf is
+``{"counts": {label text: count}, "label": label}``.  A fitted tree and a
+loaded one are the same kind of value.
 """
 
 from __future__ import annotations
@@ -15,38 +21,6 @@ import numpy as np
 from .errors import ContractError
 from .quantizer import Codebook, quantize_kmeans
 from .reports import atomic_write_text, canonical_json, read_lines
-
-
-@dataclass
-class TreeNode:
-    dim: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    counts: dict | None = None
-    label: object = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.dim is None
-
-
-@dataclass
-class DecisionTree:
-    root: TreeNode
-    max_depth: int
-    min_leaf: int
-    labels: list
-    training_accuracy: float
-
-    def predict_one(self, point) -> object:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if point[node.dim] <= node.threshold else node.right
-        return node.label
-
-    def predict(self, points) -> list:
-        return [self.predict_one(p) for p in np.asarray(points, dtype=np.float64)]
 
 
 def _gini(counts: np.ndarray, totals) -> np.ndarray:
@@ -82,11 +56,11 @@ def _best_split(points: np.ndarray, codes: np.ndarray, total: np.ndarray, min_le
 
 
 def _grow(points: np.ndarray, codes: np.ndarray, distinct: list, max_depth: int,
-          min_leaf: int, depth: int) -> TreeNode:
+          min_leaf: int, depth: int) -> dict:
     counts = np.bincount(codes, minlength=len(distinct))
-    leaf = TreeNode(counts={distinct[c]: int(k) for c, k in enumerate(counts) if k},
-                    label=distinct[int(np.argmax(counts))])
-    if depth >= max_depth or len(leaf.counts) == 1 or len(codes) < 2 * min_leaf:
+    leaf = {"counts": {str(distinct[c]): int(k) for c, k in enumerate(counts) if k},
+            "label": distinct[int(np.argmax(counts))]}
+    if depth >= max_depth or len(leaf["counts"]) == 1 or len(codes) < 2 * min_leaf:
         return leaf
     best = _best_split(points, codes, counts, min_leaf)
     if best is None:
@@ -95,7 +69,7 @@ def _grow(points: np.ndarray, codes: np.ndarray, distinct: list, max_depth: int,
     mask = points[:, dim] <= threshold
     left, right = (_grow(points[m], codes[m], distinct, max_depth, min_leaf, depth + 1)
                    for m in (mask, ~mask))
-    return TreeNode(dim=dim, threshold=threshold, left=left, right=right)
+    return {"dim": dim, "threshold": threshold, "left": left, "right": right}
 
 
 def _finite_points(points) -> np.ndarray:
@@ -105,7 +79,12 @@ def _finite_points(points) -> np.ndarray:
     return points
 
 
-def fit_tree(points, labels, max_depth: int = 6, min_leaf: int = 5) -> DecisionTree:
+def fit_tree(points, labels, max_depth: int = 6, min_leaf: int = 5) -> dict:
+    """Grow a CART over ``points`` and return its ``tree.json`` document:
+    ``labels`` (the distinct labels in string order), ``max_depth``,
+    ``min_leaf``, ``root`` (nested split nodes ``{dim, threshold, left,
+    right}`` down to leaves ``{counts, label}``, ``counts`` keyed by label
+    text) and ``training_accuracy``.  Labels must differ as text."""
     points = _finite_points(points)
     labels = list(labels)
     if points.ndim != 2 or points.shape[0] != len(labels):
@@ -113,22 +92,35 @@ def fit_tree(points, labels, max_depth: int = 6, min_leaf: int = 5) -> DecisionT
     distinct = sorted(set(labels), key=str)
     if len(distinct) < 2:
         raise ContractError("need samples from two regions")
+    if len({str(label) for label in distinct}) < len(distinct):
+        raise ContractError(f"labels {distinct!r} are not distinct as text")
     if min_leaf < 1 or max_depth < 1:
         raise ContractError(f"min_leaf {min_leaf} and max_depth {max_depth} must be at least 1")
     if len(labels) < 2 * min_leaf:
         raise ContractError(f"need at least {2 * min_leaf} samples, got {len(labels)}")
     code_of = {label: c for c, label in enumerate(distinct)}
     codes = np.array([code_of[y] for y in labels], dtype=np.intp)
-    root = _grow(points, codes, distinct, max_depth, min_leaf, 0)
-    tree = DecisionTree(root, max_depth, min_leaf, distinct, 0.0)
-    predictions = tree.predict(points)
-    tree.training_accuracy = sum(p == y for p, y in zip(predictions, labels)) / len(labels)
+    tree = {"labels": distinct, "max_depth": max_depth, "min_leaf": min_leaf,
+            "root": _grow(points, codes, distinct, max_depth, min_leaf, 0)}
+    predictions = predict(tree, points)
+    tree["training_accuracy"] = sum(p == y for p, y in zip(predictions, labels)) / len(labels)
     return tree
 
 
-def tree_metrics(tree: DecisionTree, points, labels, positive_label) -> dict:
+def predict(tree: dict, points) -> list:
+    """The leaf label each point reaches."""
+    out = []
+    for point in np.asarray(points, dtype=np.float64):
+        node = tree["root"]
+        while "counts" not in node:
+            node = node["left"] if point[node["dim"]] <= node["threshold"] else node["right"]
+        out.append(node["label"])
+    return out
+
+
+def tree_metrics(tree: dict, points, labels, positive_label) -> dict:
     """Held-out accuracy (separability), precision/recall (density), and f1."""
-    predictions = tree.predict(_finite_points(points))
+    predictions = predict(tree, _finite_points(points))
     labels = list(labels)
     tp = sum(1 for p, y in zip(predictions, labels) if p == positive_label and y == positive_label)
     fp = sum(1 for p, y in zip(predictions, labels) if p == positive_label and y != positive_label)
@@ -151,27 +143,27 @@ class PathConstraint:
     branch: str  # "<=" or ">"
 
 
-def extract_path(tree: DecisionTree, target_label) -> list[PathConstraint]:
+def extract_path(tree: dict, target_label) -> list[PathConstraint]:
     """Root-to-leaf constraints of the purest leaf labelled ``target_label``,
     ties broken by larger sample count, then by the leftmost leaf."""
     best = None  # ((purity, count, -order), constraints)
     order = 0
 
-    def visit(node: TreeNode, steps: list[PathConstraint]):
+    def visit(node: dict, steps: list[PathConstraint]):
         nonlocal best, order
-        if node.is_leaf:
-            if node.label == target_label:
-                total = sum(node.counts.values())
-                purity = node.counts.get(target_label, 0) / total
+        if "counts" in node:
+            if node["label"] == target_label:
+                total = sum(node["counts"].values())
+                purity = node["counts"].get(str(target_label), 0) / total
                 key = (purity, total, -order)
                 if best is None or key > best[0]:
                     best = (key, steps)
             order += 1
             return
-        visit(node.left, steps + [PathConstraint(node.dim, node.threshold, "<=")])
-        visit(node.right, steps + [PathConstraint(node.dim, node.threshold, ">")])
+        visit(node["left"], steps + [PathConstraint(node["dim"], node["threshold"], "<=")])
+        visit(node["right"], steps + [PathConstraint(node["dim"], node["threshold"], ">")])
 
-    visit(tree.root, [])
+    visit(tree["root"], [])
     if best is None:
         raise ContractError(f"tree has no leaf labelled {target_label!r}")
     return best[1]
@@ -235,41 +227,9 @@ def cross_region_consistency(decoded_sentences: list, extractor, target) -> floa
 # -- serialization ---------------------------------------------------------------
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"counts": {str(k): v for k, v in sorted(node.counts.items(), key=lambda kv: str(kv[0]))},
-                "label": node.label}
-    return {"dim": node.dim, "threshold": node.threshold,
-            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
+def save_tree(path, tree: dict) -> None:
+    atomic_write_text(path, canonical_json(tree) + "\n")
 
 
-def _node_from_dict(d: dict, labels: list) -> TreeNode:
-    if "counts" in d:
-        by_str = {str(l): l for l in labels}
-        counts = {by_str.get(k, k): v for k, v in d["counts"].items()}
-        return TreeNode(counts=counts, label=d["label"])
-    return TreeNode(dim=d["dim"], threshold=d["threshold"],
-                    left=_node_from_dict(d["left"], labels),
-                    right=_node_from_dict(d["right"], labels))
-
-
-def tree_to_json(tree: DecisionTree) -> str:
-    blob = {"max_depth": tree.max_depth, "min_leaf": tree.min_leaf,
-            "labels": tree.labels, "training_accuracy": tree.training_accuracy,
-            "root": _node_to_dict(tree.root)}
-    return canonical_json(blob)
-
-
-def tree_from_json(text: str) -> DecisionTree:
-    blob = json.loads(text)
-    labels = blob["labels"]
-    return DecisionTree(_node_from_dict(blob["root"], labels), blob["max_depth"],
-                        blob["min_leaf"], labels, blob["training_accuracy"])
-
-
-def save_tree(path, tree: DecisionTree) -> None:
-    atomic_write_text(path, tree_to_json(tree) + "\n")
-
-
-def load_tree(path) -> DecisionTree:
-    return tree_from_json("".join(read_lines(path)))
+def load_tree(path) -> dict:
+    return json.loads("".join(read_lines(path)))

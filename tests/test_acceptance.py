@@ -425,7 +425,7 @@ def test_criterion_08_tree_suite(region_fixture):
             tree = tc.fit_tree(points, labels, max_depth=3, min_leaf=1)
             oracle = fit_tree_bruteforce(points.tolist(), labels, max_depth=3, min_leaf=1)
             probes = np.concatenate([points, rng.standard_normal((100, 8))])
-            assert tree.predict(probes) == \
+            assert tc.predict(tree, probes) == \
                 [predict_tree_bruteforce(oracle, p) for p in probes.tolist()]
 
         rng = np.random.default_rng(3100)

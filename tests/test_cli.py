@@ -159,6 +159,7 @@ BAD_RUN_CONFIGS = [
     ("negative_lr", lambda c: {**c, "schedule": {**c["schedule"], "lr": -0.002}}),
     ("negative_beta", lambda c: {**c, "quantizer": {"commitment_beta": -5}}),
     ("schedule_seed", lambda c: {**c, "schedule": {**c["schedule"], "seed": 1}}),
+    ("negative_seed", lambda c: {**c, "seed": -1}),
     ("dropout_rate", lambda c: {**c, "model": {**c["model"], "dropout_rate": 0.0}}),
     ("gumbel_tau", lambda c: {**c, "quantizer": {"gumbel_tau": 1.0}}),
     ("include_codebook_term", lambda c: {**c, "quantizer": {"include_codebook_term": False}}),
@@ -406,6 +407,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["interpolate"])  # missing required flags
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command,seed", [("gen-corpus", "-1"), ("interpolate", "-3"),
+                                              ("infer", "-3"), ("train", "-2")])
+    def test_negative_seed_is_two(self, tiny_ckpt, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 7, "corpus": tiny_ckpt["corpus"], "out_dir": str(out),
+                                      "model": {"d_model": 8, "n_heads": 2, "max_len": 16},
+                                      "schedule": {"epochs": 1, "codebook_size": 8}}))
+        rest = {"gen-corpus": ["--out", str(out)],
+                "interpolate": ["--checkpoint", tiny_ckpt["ckpt"], "--corpus", tiny_ckpt["corpus"],
+                                "--out", str(out)],
+                "infer": ["--checkpoint", tiny_ckpt["ckpt"], "--out", str(out)],
+                "train": ["--config", str(config)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", seed] + rest)
+        assert exc.value.code == 2
+        assert f"--seed: must be non-negative, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_contract_error_is_three(self, tiny_ckpt, tmp_path):
         assert main(["tree", "--checkpoint", tiny_ckpt["ckpt"],

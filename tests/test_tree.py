@@ -2,6 +2,8 @@
 path extraction, and guided movement across a synthetic latent boundary.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from vqlat import tree as tc
 from vqlat.errors import ContractError
 from vqlat.quantizer import Codebook
+from vqlat.reports import canonical_json
 
 from tests.oracles import fit_tree_bruteforce, predict_tree_bruteforce
 
@@ -19,23 +22,24 @@ LABEL_SETS = (("A", "B"), ("A", "B", "C"), (0, 1), (10, 9), (10, 9, 100))
 
 def assert_same_nodes(node, oracle):
     """Node-by-node equality: split dims, exact thresholds, leaf labels."""
-    if node.is_leaf:
-        assert oracle.label is not None and node.label == oracle.label
+    if "counts" in node:
+        assert oracle.label is not None and node["label"] == oracle.label
         return
-    assert oracle.label is None and node.dim == oracle.dim and node.threshold == oracle.threshold
-    assert_same_nodes(node.left, oracle.left)
-    assert_same_nodes(node.right, oracle.right)
+    assert oracle.label is None
+    assert (node["dim"], node["threshold"]) == (oracle.dim, oracle.threshold)
+    assert_same_nodes(node["left"], oracle.left)
+    assert_same_nodes(node["right"], oracle.right)
 
 
 def leaf_at(tree, path):
     """The leaf a path's constraints lead to, asserting on the way that each
     constraint is exactly the split of the node it passes."""
-    node = tree.root
+    node = tree["root"]
     for constraint in path:
-        assert not node.is_leaf
-        assert (constraint.dim, constraint.threshold) == (node.dim, node.threshold)
-        node = node.left if constraint.branch == "<=" else node.right
-    assert node.is_leaf
+        assert "counts" not in node
+        assert (constraint.dim, constraint.threshold) == (node["dim"], node["threshold"])
+        node = node["left"] if constraint.branch == "<=" else node["right"]
+    assert "counts" in node
     return node
 
 
@@ -43,17 +47,16 @@ class TestFitTree:
     def test_one_dim_forced_midpoint(self):
         points = np.array([[-1.0], [1.0]])
         tree = tc.fit_tree(points, ["A", "B"], max_depth=3, min_leaf=1)
-        assert tree.root.dim == 0
-        assert tree.root.threshold == 0.0
-        assert tree.training_accuracy == 1.0
+        assert tree["root"]["dim"] == 0
+        assert tree["root"]["threshold"] == 0.0
+        assert tree["training_accuracy"] == 1.0
 
     def test_identical_features_single_leaf(self):
         points = np.zeros((6, 2))
         labels = ["A", "A", "A", "A", "B", "B"]
         tree = tc.fit_tree(points, labels, max_depth=3, min_leaf=1)
-        assert tree.root.is_leaf
-        assert tree.root.label == "A"
-        assert tree.training_accuracy == pytest.approx(4 / 6)
+        assert tree["root"] == {"counts": {"A": 4, "B": 2}, "label": "A"}
+        assert tree["training_accuracy"] == pytest.approx(4 / 6)
 
     def test_single_class_rejected(self):
         with pytest.raises(ContractError):
@@ -62,6 +65,11 @@ class TestFitTree:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ContractError):
             tc.fit_tree(np.zeros((3, 2)), ["A", "B", "A"], max_depth=2, min_leaf=2)
+
+    def test_labels_equal_as_text_rejected(self):
+        # tree.json keys leaf counts by label text: 1 and "1" would share a key
+        with pytest.raises(ContractError, match="distinct as text"):
+            tc.fit_tree(np.zeros((4, 1)), [1, "1", 1, "1"], max_depth=2, min_leaf=1)
 
     @pytest.mark.parametrize("max_depth,min_leaf", [(3, 0), (3, -4), (0, 1), (-1, 1)])
     def test_meaningless_sizes_rejected(self, max_depth, min_leaf):
@@ -76,14 +84,14 @@ class TestFitTree:
         tree = tc.fit_tree(points, labels, max_depth=4, min_leaf=5)
 
         def check(node, pts):
-            if node.is_leaf:
-                assert sum(node.counts.values()) >= 5
+            if "counts" in node:
+                assert sum(node["counts"].values()) >= 5
                 return
-            mask = pts[:, node.dim] <= node.threshold
-            check(node.left, pts[mask])
-            check(node.right, pts[~mask])
+            mask = pts[:, node["dim"]] <= node["threshold"]
+            check(node["left"], pts[mask])
+            check(node["right"], pts[~mask])
 
-        check(tree.root, points)
+        check(tree["root"], points)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_bruteforce_oracle(self, seed):
@@ -94,7 +102,7 @@ class TestFitTree:
         tree = tc.fit_tree(points, labels, max_depth=3, min_leaf=1)
         oracle = fit_tree_bruteforce(points.tolist(), labels, max_depth=3, min_leaf=1)
         probes = np.concatenate([points, rng.standard_normal((100, 8))])
-        got = tree.predict(probes)
+        got = tc.predict(tree, probes)
         want = [predict_tree_bruteforce(oracle, p) for p in probes.tolist()]
         assert got == want
 
@@ -111,8 +119,9 @@ class TestFitTree:
         labels = [classes[i] for i in rng.integers(0, len(classes), n)]
         labels[:2] = classes[:2]  # both regions present
         tree = tc.fit_tree(points, labels, max_depth=max_depth, min_leaf=min_leaf)
-        assert_same_nodes(tree.root,
+        assert_same_nodes(tree["root"],
                           fit_tree_bruteforce(points.tolist(), labels, max_depth, min_leaf))
+        assert json.loads(canonical_json(tree)) == tree  # JSON values only
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -120,14 +129,14 @@ class TestFitTree:
         labels = [int(p[1] > 0.2) for p in points]
         t1 = tc.fit_tree(points, labels, max_depth=4, min_leaf=2)
         t2 = tc.fit_tree(points.copy(), list(labels), max_depth=4, min_leaf=2)
-        assert tc.tree_to_json(t1) == tc.tree_to_json(t2)
+        assert canonical_json(t1) == canonical_json(t2)
 
     def test_training_accuracy_one_when_separable_unbounded(self):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((50, 3))
         labels = [int(p[2] > 0) for p in points]
         tree = tc.fit_tree(points, labels, max_depth=50, min_leaf=1)
-        assert tree.training_accuracy == 1.0
+        assert tree["training_accuracy"] == 1.0
 
 
 class TestTreeMetrics:
@@ -182,8 +191,8 @@ class TestExtractPath:
                 satisfying.append(y)
         assert satisfying
         purity = sum(1 for y in satisfying if y == 1) / len(satisfying)
-        counts = leaf_at(tree, path).counts
-        assert purity == counts.get(1, 0) / sum(counts.values())
+        counts = leaf_at(tree, path)["counts"]
+        assert purity == counts.get("1", 0) / sum(counts.values())
 
     def test_picks_purest_then_largest(self):
         oracle = fit_tree_bruteforce
@@ -196,17 +205,17 @@ class TestExtractPath:
         leaves = []
 
         def visit(node, steps):
-            if node.is_leaf:
-                total = sum(node.counts.values())
-                leaves.append((node.counts.get(1, 0) / total, total, node.label))
+            if "counts" in node:
+                total = sum(node["counts"].values())
+                leaves.append((node["counts"].get("1", 0) / total, total, node["label"]))
                 return
-            visit(node.left, None)
-            visit(node.right, None)
+            visit(node["left"], None)
+            visit(node["right"], None)
 
-        visit(tree.root, None)
+        visit(tree["root"], None)
         best = max((p, t) for p, t, lab in leaves if lab == 1)
-        counts = leaf_at(tree, path).counts
-        assert (counts.get(1, 0) / sum(counts.values()), sum(counts.values())) == best
+        counts = leaf_at(tree, path)["counts"]
+        assert (counts.get("1", 0) / sum(counts.values()), sum(counts.values())) == best
 
     def test_paths_walk_the_tree_to_a_target_leaf(self):
         rng = np.random.default_rng(8)
@@ -222,16 +231,16 @@ class TestExtractPath:
             leaf_labels = set()
 
             def visit(node):
-                if node.is_leaf:
-                    leaf_labels.add(node.label)
+                if "counts" in node:
+                    leaf_labels.add(node["label"])
                 else:
-                    visit(node.left)
-                    visit(node.right)
+                    visit(node["left"])
+                    visit(node["right"])
 
-            visit(tree.root)
+            visit(tree["root"])
             for label in leaf_labels:
                 path = tc.extract_path(tree, label)
-                assert leaf_at(tree, path).label == label, trial
+                assert leaf_at(tree, path)["label"] == label, trial
                 constraints += len(path)
         assert constraints > 30  # most trees split: the walks are not all trivial
 
@@ -291,7 +300,7 @@ class TestGuidedMove:
                 edited[c.dim] = c.threshold - eps
             elif c.branch == ">" and not edited[c.dim] > c.threshold:
                 edited[c.dim] = c.threshold + eps
-        assert tree.predict_one(edited) == 1
+        assert tc.predict(tree, [edited]) == [1]
 
     def test_margin_must_be_positive(self, codebook):
         path = [tc.PathConstraint(0, 0.5, ">")]
@@ -345,12 +354,12 @@ class TestTreeSerialization:
         tc.save_tree(path, loaded)
         assert path.read_bytes() == raw
         probes = rng.standard_normal((50, 5))
-        assert loaded.predict(probes) == tree.predict(probes)
+        assert loaded == tree
+        assert tc.predict(loaded, probes) == tc.predict(tree, probes)
 
     def test_json_is_nested_objects(self):
         points = np.array([[-1.0], [1.0]])
         tree = tc.fit_tree(points, ["A", "B"], max_depth=1, min_leaf=1)
-        import json
-        blob = json.loads(tc.tree_to_json(tree))
+        blob = json.loads(canonical_json(tree))
         assert set(blob["root"]) == {"dim", "threshold", "left", "right"}
         assert blob["root"]["left"]["counts"] == {"A": 1}
