@@ -5,7 +5,9 @@ The encoder maps each input token to one continuous vector; those vectors are
 quantized elsewhere and handed back to :func:`decode_batch`, whose cross-attention
 uses them directly (they are never concatenated into the token stream).
 Positions are sinusoidal; blocks are pre-norm with a final layer norm on each
-stack.
+stack.  :func:`greedy_generate` steps that decoder over a key/value cache (the
+latents' cross-attention keys and values are projected once per stack), drops
+each row once it emits the end id, and keeps the full-prefix ``max_len`` guard.
 """
 
 from __future__ import annotations
@@ -124,8 +126,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
     return ModelParams(tensors)
 
 
-def sinusoidal_positions(length: int, d_model: int, dtype=np.float32) -> np.ndarray:
-    pos = np.arange(length)[:, None].astype(np.float64)
+def sinusoidal_positions(length: int, d_model: int, dtype=np.float32, start: int = 0) -> np.ndarray:
+    pos = np.arange(start, start + length)[:, None].astype(np.float64)
     dim = np.arange(d_model // 2)[None, :].astype(np.float64)
     angle = pos / np.power(10_000.0, 2.0 * dim / d_model)
     enc = np.zeros((length, d_model), dtype=np.float64)
@@ -135,21 +137,26 @@ def sinusoidal_positions(length: int, d_model: int, dtype=np.float32) -> np.ndar
 
 
 def _multi_head_attention(params: ModelParams, prefix: str, config: ModelConfig,
-                          queries: Tensor, keys_values: Tensor,
-                          mask: np.ndarray | None) -> Tensor:
-    """Projected scaled dot-product attention over [B, L, d] streams."""
+                          queries: Tensor, keys_values: Tensor | None,
+                          mask: np.ndarray | None, cache: dict | None = None) -> Tensor:
+    """Projected scaled dot-product attention over [B, L, d] streams.  A ``cache`` keeps
+    the keys and values under ``prefix``, appending those of ``keys_values`` if given."""
     b, lq, d = queries.shape
-    lk = keys_values.shape[1]
     h, dh = config.n_heads, d // config.n_heads
 
-    def project(x, name, length):
+    def project(x, name):
         y = ad.add(ad.matmul(x, params[f"{prefix}.w{name}"]), params[f"{prefix}.b{name}"])
-        y = ad.reshape(y, (b, length, h, dh))
+        y = ad.reshape(y, (b, x.shape[1], h, dh))
         return ad.transpose(y, (0, 2, 1, 3))
 
-    q = project(queries, "q", lq)
-    k = project(keys_values, "k", lk)
-    v = project(keys_values, "v", lk)
+    q = project(queries, "q")
+    if keys_values is not None:
+        k, v = project(keys_values, "k"), project(keys_values, "v")
+    if cache is not None:
+        if keys_values is not None:
+            held = cache.get(prefix, [np.empty((b, h, 0, dh), q.data.dtype)] * 2)
+            cache[prefix] = [np.concatenate([a, t.data], axis=2) for a, t in zip(held, (k, v))]
+        k, v = (Tensor(a) for a in cache[prefix])
 
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     if mask is not None:
@@ -169,11 +176,11 @@ def _layer_norm(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return ad.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _validate_ids(ids: np.ndarray, config: ModelConfig) -> None:
+def _validate_ids(ids: np.ndarray, config: ModelConfig, past: int = 0) -> None:
     if ids.size == 0 or ids.shape[-1] == 0:
         raise InputError("empty token sequence")
-    if ids.shape[-1] > config.max_len:
-        raise InputError(f"sequence length {ids.shape[-1]} exceeds max_len {config.max_len}")
+    if past + ids.shape[-1] > config.max_len:
+        raise InputError(f"sequence length {past + ids.shape[-1]} exceeds max_len {config.max_len}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise InputError(f"token id outside vocabulary of size {config.vocab_size}")
 
@@ -197,15 +204,21 @@ def encode_batch(token_ids: np.ndarray, params: ModelParams, config: ModelConfig
     return _layer_norm(params, "enc.ln_out", x)
 
 
-def causal_mask(length: int) -> np.ndarray:
-    mask = np.zeros((1, 1, length, length), dtype=np.float32)
-    mask[..., np.triu_indices(length, k=1)[0], np.triu_indices(length, k=1)[1]] = NEG_INF
+def causal_mask(length: int, past: int = 0) -> np.ndarray:
+    """Additive mask [1, 1, length, past + length]: query i sees keys up to past + i."""
+    mask = np.zeros((1, 1, length, past + length), dtype=np.float32)
+    mask[0, 0][np.triu_indices(length, k=past + 1, m=past + length)] = NEG_INF
     return mask
 
 
 def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
-                 config: ModelConfig) -> Tensor:
-    """Next-token logits [B, L', vocab] given latent rows [B, L, d]."""
+                 config: ModelConfig, cache: dict | None = None) -> Tensor:
+    """Next-token logits [B, L', vocab] given latent rows [B, L, d].
+
+    Without a ``cache`` the whole prefix is decoded (teacher forcing).  A cache,
+    first ``{}``, keeps each attention block's [keys, values] arrays [B, heads,
+    positions, d / heads], with no tape: ``prefix_ids`` continue its positions,
+    and the latents' cross-attention ones are projected on the first call only."""
     if latents.ndim != 3:
         raise ShapeError(f"decode_batch: expected [B, L, d] latents, got {latents.shape}")
     if latents.shape[-1] != config.d_model:
@@ -213,17 +226,20 @@ def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
     ids = np.asarray(prefix_ids)
     if ids.ndim != 2 or ids.shape[0] != latents.shape[0]:
         raise ShapeError(f"decode_batch: prefix shape {ids.shape} does not match batch {latents.shape[0]}")
-    _validate_ids(ids, config)
+    past = cache["dec.0.self"][0].shape[2] if cache else 0
+    _validate_ids(ids, config, past)
     b, length = ids.shape
 
     x = ad.mul(ad.embedding_lookup(params["tok_emb"], ids), float(np.sqrt(config.d_model)))
-    x = ad.add(x, Tensor(sinusoidal_positions(length, config.d_model, params["tok_emb"].data.dtype)))
-    mask = causal_mask(length)
+    x = ad.add(x, Tensor(sinusoidal_positions(length, config.d_model, x.data.dtype, past)))
+    mask = causal_mask(length, past)
     for i in range(config.n_layers_dec):
         normed = _layer_norm(params, f"dec.{i}.ln1", x)
-        x = ad.add(x, _multi_head_attention(params, f"dec.{i}.self", config, normed, normed, mask))
+        x = ad.add(x, _multi_head_attention(params, f"dec.{i}.self", config, normed, normed,
+                                            mask, cache))
         x = ad.add(x, _multi_head_attention(params, f"dec.{i}.cross", config,
-                                            _layer_norm(params, f"dec.{i}.ln2", x), latents, None))
+                                            _layer_norm(params, f"dec.{i}.ln2", x),
+                                            None if past else latents, None, cache))
         x = ad.add(x, _feed_forward(params, f"dec.{i}.ffn", _layer_norm(params, f"dec.{i}.ln3", x)))
     x = _layer_norm(params, "dec.ln_out", x)
     return ad.add(ad.matmul(x, params["out.w"]), params["out.b"])
@@ -232,16 +248,25 @@ def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
 def greedy_generate(latents, params: ModelParams, config: ModelConfig,
                     max_len: int, start_id: int = 1, end_id: int = 2) -> list[list[int]]:
     """Greedy argmax decoding of a stack of same-length latents [B, L, d] from the
-    start token.  Returns B id lists, each cut before its first ``end_id`` and
-    holding at most ``max_len`` ids."""
-    lat = Tensor(np.asarray(latents))
-    prefix = np.full((lat.shape[0], 1), start_id, dtype=np.int64)
+    start token, one cached step at a time; a row leaves once it emits ``end_id``.
+    Returns B id lists, each cut before its first ``end_id``, of at most ``max_len`` ids."""
+    lat = np.asarray(latents)
+    live = np.arange(lat.shape[0])
+    last = np.full((lat.shape[0], 1), start_id, dtype=np.int64)
+    out: list[list[int]] = [[] for _ in live]
+    cache: dict = {}
     for _ in range(max_len):
-        logits = decode_batch(lat, prefix, params, config)
-        prefix = np.concatenate([prefix, logits.data[:, -1].argmax(axis=-1)[:, None]], axis=1)
-        if (prefix[:, 1:] == end_id).any(axis=1).all():
+        chosen = decode_batch(Tensor(lat), last, params, config, cache).data[:, -1].argmax(axis=-1)
+        going = chosen != end_id
+        for row, token in zip(live[going].tolist(), chosen[going].tolist()):
+            out[row].append(token)
+        if not going.any():
             break
-    return [row[:row.index(end_id)] if end_id in row else row for row in prefix[:, 1:].tolist()]
+        if not going.all():
+            live, lat = live[going], lat[going]
+            cache = {name: [a[going] for a in kv] for name, kv in cache.items()}
+        last = chosen[going][:, None]
+    return out
 
 
 # -- checkpoint format ---------------------------------------------------------

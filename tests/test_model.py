@@ -1,7 +1,11 @@
 """Encoder/decoder transformer contracts and the checkpoint wire format."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqlat import autodiff as ad
 from vqlat import model as md
@@ -172,6 +176,121 @@ class TestGreedyGenerate:
         want = [greedy_generate_one(rows, params, config, max_len) for rows in latents]
         assert len({len(w) for w in want}) >= min(3, max_len + 1)  # rows stop at different steps
         assert md.greedy_generate(latents, params, config, max_len) == want
+
+
+def drop_rows(cache, keep):
+    """A decoder cache without the rows ``keep`` leaves out, as greedy decoding
+    drops them."""
+    return {name: [a[keep] for a in kv] for name, kv in cache.items()}
+
+
+class TestDecodeCache:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_layers_dec", [1, 3])
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("chunks", [[1] * 7, [3, 1, 2, 1]], ids=["steps", "chunks"])
+    def test_cached_steps_match_full_prefix(self, dtype, n_layers_dec, n_heads, chunks):
+        config = md.ModelConfig(vocab_size=9, d_model=16, n_heads=n_heads, n_layers_enc=1,
+                                n_layers_dec=n_layers_dec, max_len=7)
+        params = md.init_params(config, np.random.default_rng(21), dtype=dtype, init_scale=0.3)
+        rng = np.random.default_rng(22)
+        latents = rng.standard_normal((5, 4, 16)).astype(dtype)
+        ids = rng.integers(0, 9, size=(5, 7))
+        full = md.decode_batch(Tensor(latents), ids, params, config).data
+        tol = {"rtol": 1e-4, "atol": 1e-5} if dtype == np.float32 else {"rtol": 1e-10}
+        ends = np.cumsum(chunks)
+        for keep in (np.ones(5, dtype=bool), np.array([True, False, True, True, False])):
+            # rows leave after the first chunk, mid-stack
+            cache, rows = {}, np.arange(5)
+            for start, stop in zip(ends - chunks, ends):
+                step = md.decode_batch(Tensor(latents[rows]), ids[rows, start:stop], params,
+                                       config, cache).data
+                assert step.dtype == full.dtype
+                np.testing.assert_allclose(step, full[rows, start:stop], **tol)
+                cache, rows = drop_rows(cache, keep[rows]), rows[keep[rows]]
+
+    def test_cache_records_no_tape(self):
+        config = md.ModelConfig(vocab_size=9, d_model=8, n_heads=2, n_layers_dec=2, max_len=4)
+        params = md.init_params(config, np.random.default_rng(23))  # trainable params
+        latents = Tensor(np.random.default_rng(24).standard_normal((2, 3, 8)))
+        cache = {}
+        for token in (1, 5):
+            md.decode_batch(latents, np.full((2, 1), token), params, config, cache)
+        assert sorted(cache) == ["dec.0.cross", "dec.0.self", "dec.1.cross", "dec.1.self"]
+        assert all(isinstance(a, np.ndarray) for kv in cache.values() for a in kv)
+        assert cache["dec.1.self"][0].shape == (2, 2, 2, 4)
+        assert cache["dec.1.cross"][1].shape == (2, 2, 3, 4)
+
+    def test_cached_length_counts_toward_max_len(self):
+        config = md.ModelConfig(vocab_size=9, d_model=8, n_heads=2, max_len=3)
+        params = md.init_params(config, np.random.default_rng(25))
+        latents = Tensor(np.zeros((1, 2, 8)))
+        cache = {}
+        md.decode_batch(latents, np.array([[1, 4]]), params, config, cache)
+        md.decode_batch(latents, np.array([[5]]), params, config, cache)
+        with pytest.raises(InputError, match="sequence length 4 exceeds max_len 3"):
+            md.decode_batch(latents, np.array([[6]]), params, config, cache)
+
+
+@functools.cache
+def ending_setup():
+    """A model and latent rows [3, 16] whose oracle decodes stop at different
+    steps, from the first (an empty decode) to never within nine tokens."""
+    config = md.ModelConfig(vocab_size=6, d_model=16, n_heads=2,
+                            n_layers_enc=1, n_layers_dec=2, max_len=12)
+    params = md.init_params(config, np.random.default_rng(11), init_scale=0.5)
+    latents = np.random.default_rng(12).standard_normal((40, 3, 16)).astype(np.float32)
+    return config, params, latents
+
+
+@functools.cache
+def oracle_decode(row: int, max_len: int) -> tuple[int, ...]:
+    config, params, latents = ending_setup()
+    return tuple(greedy_generate_one(latents[row], params, config, max_len))
+
+
+class TestDroppedRows:
+    def test_pool_ends_at_every_kind_of_step(self):
+        lengths = {len(oracle_decode(row, 9)) for row in range(40)}
+        assert {0, 1, 2, 9} <= lengths and len(lengths) >= 5
+
+    def check(self, rows, max_len):
+        config, params, latents = ending_setup()
+        got = md.greedy_generate(latents[list(rows)], params, config, max_len)
+        assert got == [list(oracle_decode(row, max_len)) for row in rows]
+
+    @pytest.mark.parametrize("max_len", [1, 2, 9])
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    def test_all_rows_but_one_end_at_step_one(self, max_len, place):
+        empty = [row for row in range(40) if not oracle_decode(row, 9)]
+        long = next(row for row in range(40) if len(oracle_decode(row, 9)) == 9)
+        at = {"first": 0, "middle": len(empty) // 2, "last": len(empty)}[place]
+        self.check(empty[:at] + [long] + empty[at:], max_len)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 39), min_size=1, max_size=10),
+           st.sampled_from([1, 2, 4, 9]))
+    def test_stacks_equal_the_oracle_row_for_row(self, rows, max_len):
+        self.check(rows, max_len)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("end_id", [0, 2, 3])
+    def test_length_guard_matches_the_oracle(self, seed, end_id):
+        """A row still live past ``config.max_len`` positions raises the error the
+        full-prefix oracle raises, and a stack that ends in time decodes as it does."""
+        config = md.ModelConfig(vocab_size=6, d_model=16, n_heads=2,
+                                n_layers_enc=1, n_layers_dec=2, max_len=8)
+        params = md.init_params(config, np.random.default_rng(seed), init_scale=0.5)
+        latents = np.random.default_rng(seed + 1).standard_normal((5, 3, 16)).astype(np.float32)
+        try:
+            want = [greedy_generate_one(rows, params, config, 12, end_id=end_id)
+                    for rows in latents]
+        except InputError as exc:
+            assert str(exc) == "sequence length 9 exceeds max_len 8"
+            with pytest.raises(InputError, match=f"^{exc}$"):
+                md.greedy_generate(latents, params, config, 12, end_id=end_id)
+        else:
+            assert md.greedy_generate(latents, params, config, 12, end_id=end_id) == want
 
 
 class TestCheckpointFormat:
