@@ -59,17 +59,6 @@ class TestMatmul:
         run_backward(ad.matmul(a, b))
         assert_grads_close(lambda: float(np.matmul(a.data, b.data).sum()), [a, b])
 
-    @pytest.mark.parametrize("shape_a", [(5, 1, 3), (2, 3, 1, 3)])
-    def test_stacked_single_rows_by_matrix(self, shape_a):
-        # such stacks (a decode step) go through one product over the flattened rows
-        rng = np.random.default_rng(1)
-        a, b = leaf(rng, *shape_a), leaf(rng, 3, 4)
-        out = ad.matmul(a, b)
-        assert out.shape == shape_a[:-1] + (4,)
-        np.testing.assert_allclose(out.data, np.matmul(a.data, b.data), rtol=1e-12)
-        run_backward(out)
-        assert_grads_close(lambda: float(np.matmul(a.data, b.data).sum()), [a, b])
-
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
