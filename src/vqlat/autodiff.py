@@ -165,6 +165,49 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(y, (x,), backward_fn)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` [..., k] as one node; the
+    backward runs on the flattened [rows, k] inputs, so each gradient is one product."""
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} disagree")
+    k, n = w.shape
+    # the stacked product keeps the bits of matmul plus add on every shape
+    data = np.matmul(x.data, w.data) + b.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, n)
+        dx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        dw = x.data.reshape(-1, k).T @ g2 if w.requires_grad else None
+        return dx, dw, g2.sum(axis=0)
+
+    return _node(data, (x, w, b), backward_fn)
+
+
+def attention(q: Tensor, k, v, mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(q kᵀ / sqrt(dh) + mask) v`` over head-split [B, heads, L, dh]
+    stacks as one node; ``k`` and ``v`` may be plain arrays that take no gradient."""
+    k, v = _coerce(k, q), _coerce(v, q)
+    if q.ndim != 4 or k.shape != v.shape or q.shape[:2] + q.shape[3:] != k.shape[:2] + k.shape[3:]:
+        raise ShapeError(f"attention: shapes {q.shape}, {k.shape} and {v.shape} disagree")
+    # a float64 scale would promote float32 scores
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=q.data.dtype)
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask.astype(scores.dtype)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    data = np.matmul(p, v.data)
+
+    def backward_fn(g):
+        dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        return (np.matmul(ds, k.data) if q.requires_grad else None,
+                np.matmul(np.swapaxes(ds, -1, -2), q.data) if k.requires_grad else None,
+                np.matmul(np.swapaxes(p, -1, -2), g) if v.requires_grad else None)
+
+    return _node(data, (q, k, v), backward_fn)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     d = x.shape[-1]

@@ -5,9 +5,13 @@ The encoder maps each input token to one continuous vector; those vectors are
 quantized elsewhere and handed back to :func:`decode_batch`, whose cross-attention
 uses them directly (they are never concatenated into the token stream).
 Positions are sinusoidal; blocks are pre-norm with a final layer norm on each
-stack.  :func:`greedy_generate` steps that decoder over a key/value cache (the
-latents' cross-attention keys and values are projected once per stack), drops
-each row once it emits the end id, and keeps the full-prefix ``max_len`` guard.
+stack.  Every projection is one ``ad.linear`` node and every attention core one
+``ad.attention`` node over the head-split streams.  :func:`param_layout` names
+each parameter's shape and init kind, so a checkpoint is checked without
+drawing weights.  :func:`greedy_generate` steps the decoder over a key/value
+cache (the latents' cross-attention keys and values are projected once per
+stack), drops each row once it emits the end id, and keeps the full-prefix
+``max_len`` guard.
 """
 
 from __future__ import annotations
@@ -71,39 +75,25 @@ class ModelParams:
         return {name: t.data for name, t in self.tensors.items()}
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator,
-                dtype=np.float32, init_scale: float = 0.02) -> ModelParams:
-    tensors: dict[str, Tensor] = {}
-
-    def param(name, *shape, zero=False, one=False, scale=init_scale):
-        if one:
-            data = np.ones(shape, dtype=dtype)
-        elif zero:
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            data = (rng.standard_normal(shape) * scale).astype(dtype)
-        tensors[name] = Tensor(data, requires_grad=True)
-
+def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Each parameter's shape and init kind, in creation order.  Kinds "one" and
+    "zero" are constant; "embed" and "normal" draw scaled standard normals."""
+    layout: dict[str, tuple[tuple[int, ...], str]] = {}
     d, hidden = config.d_model, config.d_model * config.ffn_mult
-    # embeddings are scaled by sqrt(d) in the forward pass; this init keeps
-    # their magnitude comparable to the positional signal
-    param("tok_emb", config.vocab_size, d, scale=0.1)
+    # embeddings are scaled by sqrt(d) in the forward pass; their larger init
+    # keeps their magnitude comparable to the positional signal
+    layout["tok_emb"] = ((config.vocab_size, d), "embed")
 
     def attention_block(prefix):
-        for proj in ("wq", "wk", "wv", "wo"):
-            param(f"{prefix}.{proj}", d, d)
-        for bias in ("bq", "bk", "bv", "bo"):
-            param(f"{prefix}.{bias}", d, zero=True)
+        layout.update({f"{prefix}.{proj}": ((d, d), "normal") for proj in ("wq", "wk", "wv", "wo")})
+        layout.update({f"{prefix}.{bias}": ((d,), "zero") for bias in ("bq", "bk", "bv", "bo")})
 
     def norm_block(prefix):
-        param(f"{prefix}.g", d, one=True)
-        param(f"{prefix}.b", d, zero=True)
+        layout.update({f"{prefix}.g": ((d,), "one"), f"{prefix}.b": ((d,), "zero")})
 
     def ffn_block(prefix):
-        param(f"{prefix}.w1", d, hidden)
-        param(f"{prefix}.b1", hidden, zero=True)
-        param(f"{prefix}.w2", hidden, d)
-        param(f"{prefix}.b2", d, zero=True)
+        layout.update({f"{prefix}.w1": ((d, hidden), "normal"), f"{prefix}.b1": ((hidden,), "zero"),
+                       f"{prefix}.w2": ((hidden, d), "normal"), f"{prefix}.b2": ((d,), "zero")})
 
     for i in range(config.n_layers_enc):
         norm_block(f"enc.{i}.ln1")
@@ -121,9 +111,22 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
         ffn_block(f"dec.{i}.ffn")
     norm_block("dec.ln_out")
 
-    param("out.w", d, config.vocab_size)
-    param("out.b", config.vocab_size, zero=True)
-    return ModelParams(tensors)
+    layout.update({"out.w": ((d, config.vocab_size), "normal"),
+                   "out.b": ((config.vocab_size,), "zero")})
+    return layout
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator,
+                dtype=np.float32, init_scale: float = 0.02) -> ModelParams:
+    """Fresh parameters of :func:`param_layout`, drawn from ``rng`` in its order;
+    "normal" draws are scaled by ``init_scale`` and "embed" draws by 0.1."""
+    def draw(shape, kind):
+        if kind in ("one", "zero"):
+            return np.full(shape, float(kind == "one"), dtype=dtype)
+        return (rng.standard_normal(shape) * (0.1 if kind == "embed" else init_scale)).astype(dtype)
+
+    return ModelParams({name: Tensor(draw(shape, kind), requires_grad=True)
+                        for name, (shape, kind) in param_layout(config).items()})
 
 
 def sinusoidal_positions(length: int, d_model: int, dtype=np.float32, start: int = 0) -> np.ndarray:
@@ -145,9 +148,8 @@ def _multi_head_attention(params: ModelParams, prefix: str, config: ModelConfig,
     h, dh = config.n_heads, d // config.n_heads
 
     def project(x, name):
-        y = ad.add(ad.matmul(x, params[f"{prefix}.w{name}"]), params[f"{prefix}.b{name}"])
-        y = ad.reshape(y, (b, x.shape[1], h, dh))
-        return ad.transpose(y, (0, 2, 1, 3))
+        y = ad.linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
+        return ad.transpose(ad.reshape(y, (b, x.shape[1], h, dh)), (0, 2, 1, 3))
 
     q = project(queries, "q")
     if keys_values is not None:
@@ -156,20 +158,15 @@ def _multi_head_attention(params: ModelParams, prefix: str, config: ModelConfig,
         if keys_values is not None:
             held = cache.get(prefix, [np.empty((b, h, 0, dh), q.data.dtype)] * 2)
             cache[prefix] = [np.concatenate([a, t.data], axis=2) for a, t in zip(held, (k, v))]
-        k, v = (Tensor(a) for a in cache[prefix])
+        k, v = cache[prefix]
 
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = ad.add(scores, Tensor(mask.astype(scores.data.dtype)))
-    weights = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(weights, v)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, lq, d))
-    return ad.add(ad.matmul(ctx, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    ctx = ad.reshape(ad.transpose(ad.attention(q, k, v, mask), (0, 2, 1, 3)), (b, lq, d))
+    return ad.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _feed_forward(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    h = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    h = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _layer_norm(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
@@ -242,7 +239,7 @@ def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
                                             None if past else latents, None, cache))
         x = ad.add(x, _feed_forward(params, f"dec.{i}.ffn", _layer_norm(params, f"dec.{i}.ln3", x)))
     x = _layer_norm(params, "dec.ln_out", x)
-    return ad.add(ad.matmul(x, params["out.w"]), params["out.b"])
+    return ad.linear(x, params["out.w"], params["out.b"])
 
 
 def greedy_generate(latents, params: ModelParams, config: ModelConfig,

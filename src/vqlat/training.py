@@ -302,8 +302,7 @@ def load_bundle(path) -> ModelBundle:
     vocab = Vocabulary(header.vocab)
     if len(vocab) != config.vocab_size:
         raise ContractError(f"checkpoint vocabulary size {len(vocab)} != model vocab_size {config.vocab_size}")
-    layout = {name: t.shape for name, t in
-              md.init_params(config, np.random.default_rng(0)).tensors.items()}
+    layout = {name: shape for name, (shape, _) in md.param_layout(config).items()}
     k = tensors.get("codebook.N", np.empty(0)).size
     layout.update({"codebook.z": (k, config.d_model), "codebook.N": (k,),
                    "codebook.m": (k, config.d_model)})

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from vqlat import autodiff as ad
 from vqlat import model as md
 from vqlat.autodiff import Tensor
 from vqlat.training import length_batches, sentences_to_ids, teacher_forced
@@ -54,6 +55,21 @@ def assert_grads_close(f, leaves: list[Tensor], rel_tol: float = 1e-4, h: float 
         assert leaf.grad is not None, "leaf missing gradient"
         err = relative_error(leaf.grad, ref)
         assert err < rel_tol, f"gradient mismatch: rel err {err:.3e} for shape {leaf.shape}"
+
+
+def linear_chain(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``ad.linear`` as a batched matmul node plus a broadcast add node."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+def attention_chain(q: Tensor, k, v, mask=None) -> Tensor:
+    """``ad.attention`` as a chain of transpose, matmul, scale, mask, softmax and
+    matmul nodes over [B, heads, L, dh] stacks."""
+    k, v = (t if isinstance(t, Tensor) else Tensor(t) for t in (k, v))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = ad.add(scores, Tensor(mask.astype(scores.data.dtype)))
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
 
 
 def nearest_entry_scan(vector: np.ndarray, entries: np.ndarray) -> int:

@@ -10,8 +10,9 @@ import pytest
 from vqlat import autodiff as ad
 from vqlat.autodiff import Tensor
 from vqlat.errors import ContractError, ShapeError
+from vqlat.model import causal_mask
 
-from tests.oracles import assert_grads_close
+from tests.oracles import assert_grads_close, attention_chain, linear_chain
 
 N_RANDOM_SHAPES = 20
 
@@ -105,6 +106,114 @@ class TestSoftmax:
             return float(((e / e.sum(axis=-1, keepdims=True)) * w).sum())
 
         assert_grads_close(f, [x])
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 2, 4), (2, 1, 4)])
+    def test_gradients(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-2])
+        x, w, b = leaf(rng, *shape), leaf(rng, 4, 3), leaf(rng, 3)
+        r = rng.standard_normal(shape[:-1] + (3,))
+        run_backward(ad.mul(ad.linear(x, w, b), Tensor(r, dtype=np.float64)))
+        assert_grads_close(lambda: float(((x.data @ w.data + b.data) * r).sum()), [x, w, b])
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(7)
+        x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                   for s in ((2, 3, 4), (4, 5), (5,)))
+        y = ad.linear(x, w, b)
+        run_backward(y)
+        assert y.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in (x, w, b))
+
+    @pytest.mark.parametrize("w_shape,b_shape", [((3, 2), (2,)), ((4, 2), (3,)), ((4,), (4,))])
+    def test_shape_error(self, w_shape, b_shape):
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
+
+
+def attention_reference(q, k, v, mask):
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)) @ v
+
+
+ATTENTION_CASES = {  # heads, query length, key length, causal mask's past (None: no mask)
+    "one_head_no_mask": (1, 3, 3, None),
+    "four_heads_causal": (4, 3, 3, 0),
+    "causal_with_past": (4, 2, 5, 3),
+    "one_head_causal_step": (1, 1, 4, 3),
+    "cross_lq_below_lk": (4, 2, 5, None),
+    "cross_lq_above_lk": (1, 5, 2, None),
+}
+
+
+class TestAttention:
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_gradients(self, case):
+        h, lq, lk, past = ATTENTION_CASES[case]
+        rng = np.random.default_rng(900 + h * 10 + lq * lk)
+        q, k, v = leaf(rng, 2, h, lq, 3), leaf(rng, 2, h, lk, 3), leaf(rng, 2, h, lk, 3)
+        mask = None if past is None else causal_mask(lq, past).astype(np.float64)
+        r = rng.standard_normal((2, h, lq, 3))
+        run_backward(ad.mul(ad.attention(q, k, v, mask), Tensor(r, dtype=np.float64)))
+        assert_grads_close(
+            lambda: float((attention_reference(q.data, k.data, v.data, mask) * r).sum()), [q, k, v])
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["arrays", "constant_tensors"])
+    def test_keys_values_without_gradient(self, plain):
+        rng = np.random.default_rng(11)
+        q = leaf(rng, 2, 4, 1, 3)
+        k, v = rng.standard_normal((2, 2, 4, 4, 3))
+        mask = causal_mask(1, 3).astype(np.float64)
+        r = rng.standard_normal(q.shape)
+        kv = (k, v) if plain else (Tensor(k), Tensor(v))
+        run_backward(ad.mul(ad.attention(q, *kv, mask), Tensor(r, dtype=np.float64)))
+        assert_grads_close(lambda: float((attention_reference(q.data, k, v, mask) * r).sum()), [q])
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(12)
+        q, k, v = (Tensor(rng.standard_normal((1, 2, 3, 4)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        y = ad.attention(q, k, v, causal_mask(3))
+        run_backward(y)
+        assert y.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in (q, k, v))
+
+    @pytest.mark.parametrize("k_shape,v_shape", [((1, 2, 3, 5), (1, 2, 3, 5)),
+                                                 ((1, 3, 3, 4), (1, 3, 3, 4)),
+                                                 ((1, 2, 3, 4), (1, 2, 2, 4)),
+                                                 ((2, 3, 4), (2, 3, 4))])
+    def test_shape_error(self, k_shape, v_shape):
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(Tensor(np.zeros((1, 2, 3, 4))), np.zeros(k_shape), np.zeros(v_shape))
+
+
+class TestFusedForwardEqualsChain:
+    """Each fused node's forward has the same bits as the chain of nodes it replaces."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,n", [((5, 16), 8), ((1, 1, 64), 64), ((32, 1, 64), 123),
+                                         ((32, 7, 64), 256), ((16, 9, 256), 64)])
+    def test_linear(self, dtype, shape, n):
+        rng = np.random.default_rng(shape[0] * n)
+        x, w, b = (Tensor(rng.standard_normal(s).astype(dtype)) for s in (shape, (shape[-1], n), (n,)))
+        got, want = ad.linear(x, w, b).data, linear_chain(x, w, b).data
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b,h,lq,lk,past", [(16, 4, 9, 9, 0), (32, 4, 1, 7, 6),
+                                                (16, 4, 9, 12, None), (3, 1, 1, 1, None)])
+    def test_attention(self, dtype, b, h, lq, lk, past):
+        rng = np.random.default_rng(b * lq + lk)
+        q, k, v = (Tensor(rng.standard_normal((b, h, n, 16)).astype(dtype)) for n in (lq, lk, lk))
+        mask = None if past is None else causal_mask(lq, past)
+        got, want = ad.attention(q, k, v, mask).data, attention_chain(q, k, v, mask).data
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 class TestBackwardSemantics:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vqlat import autodiff as ad
 from vqlat import corpus as cg
 from vqlat import model as md
 from vqlat import quantizer
@@ -19,7 +20,7 @@ from vqlat.reports import fmt
 from vqlat.training import ModelBundle, load_bundle, save_bundle
 
 from tests.conftest import train_bundle
-from tests.oracles import greedy_generate_one, sq_dists_scan
+from tests.oracles import attention_chain, greedy_generate_one, linear_chain, sq_dists_scan
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +402,16 @@ def test_outputs_equal_one_sequence_decodes(tiny_ckpt, tmp_path, capsys, monkeyp
 
     assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys,
                              lambda: monkeypatch.setattr(ModelBundle, "decode_ids", one_at_a_time))
+
+
+def test_outputs_equal_chained_linear_and_attention(tiny_ckpt, tmp_path, capsys, monkeypatch):
+    """The fused linear and attention nodes change no output: the matmul, add,
+    scale, mask and softmax chains they replace give the same bytes."""
+    def chains():
+        monkeypatch.setattr(ad, "linear", linear_chain)
+        monkeypatch.setattr(ad, "attention", attention_chain)
+
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys, chains)
 
 
 class TestExitCodes:

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vqlat import autodiff as ad
 from vqlat import corpus as cg
 from vqlat import model as md
 from vqlat.cli import _reconstruct_report, main
 from vqlat.errors import ContractError
 from vqlat.model import ModelConfig
-from vqlat.quantizer import QuantizerConfig, quantize_kmeans
+from vqlat.quantizer import QuantizerConfig, quantize_kmeans, vq_loss
 from vqlat.reports import fmt
 from vqlat.training import (
+    ModelBundle,
     TrainSchedule,
     exact_match_rate,
     length_batches,
@@ -23,10 +25,17 @@ from vqlat.training import (
     teacher_forced,
     token_accuracy,
     train_model,
+    warmup_codebook,
 )
 
 from tests.conftest import train_bundle
-from tests.oracles import greedy_generate_one, token_accuracy_per_length
+from tests.oracles import (
+    attention_chain,
+    greedy_generate_one,
+    linear_chain,
+    relative_error,
+    token_accuracy_per_length,
+)
 
 
 def small_corpus(n=20, seed=5):
@@ -95,6 +104,42 @@ class TestTrainModel:
     def test_nan_lr_rejected(self):
         with pytest.raises(ContractError):
             make_schedule(lr=float("nan"))
+
+def test_step_gradients_equal_chained_linear_and_attention(monkeypatch):
+    """A float64 teacher-forced step gives the same parameter gradients through
+    the fused linear and attention nodes as through the chains they replace."""
+    tokens = small_corpus()
+    vocab = cg.build_vocab(tokens)
+    config = ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=4, max_len=16)
+    ids = sentences_to_ids(tokens, vocab)
+    rows = max(length_batches(ids), key=len)
+    assert rows.shape[0] > 1 and rows.shape[1] > 1
+
+    def step_gradients():
+        params = md.init_params(config, np.random.default_rng(0), dtype=np.float64, init_scale=0.3)
+        codebook = warmup_codebook(ids, params, config, 16, 0.9, np.random.default_rng(1))
+        bundle = ModelBundle(config, params, codebook, QuantizerConfig(), vocab)
+        enc_out, _, quantized, logits, targets = teacher_forced(bundle, rows)
+        ce = ad.cross_entropy_with_logits(ad.reshape(logits, (targets.size, config.vocab_size)),
+                                          targets.reshape(-1))
+        ad.backward(vq_loss(enc_out, quantized, ce, 0.25, reduction="mean"))
+        return {name: t.grad for name, t in params.tensors.items()}
+
+    fused = step_gradients()
+    monkeypatch.setattr(ad, "linear", linear_chain)
+    monkeypatch.setattr(ad, "attention", attention_chain)
+    chained = step_gradients()
+    assert fused.keys() == chained.keys()
+    scale = max(np.abs(grad).max() for grad in fused.values())
+    for name, grad in fused.items():
+        if name.endswith(".bk"):
+            # a key bias shifts every score of a query row alike, which the
+            # softmax cancels: its gradient is zero up to rounding on both sides
+            assert max(np.abs(grad).max(), np.abs(chained[name]).max()) < 1e-12 * scale, name
+        else:
+            assert np.abs(grad).max() > 1e-6 * scale, name
+            assert relative_error(grad, chained[name]) < 1e-9, name
+
 
 class TestLengthBatches:
     def test_shuffled_batches_follow_the_per_length_shuffle(self):
