@@ -225,10 +225,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx = inv * (dxn
                     - dxn.mean(axis=-1, keepdims=True)
                     - xn * (dxn * xn).mean(axis=-1, keepdims=True))
-        batch_axes = tuple(range(x.ndim - 1))
-        dgain = (g * xn).sum(axis=batch_axes) if batch_axes else (g * xn)
-        dbias = g.sum(axis=batch_axes) if batch_axes else g
-        return dx, dgain, dbias
+        return dx, (g * xn).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
     return _node(data, (x, gain, bias), backward_fn)
 

@@ -8,6 +8,7 @@ token positions align one-to-one with role labels.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,20 +298,11 @@ def generate_inference_instances(seed: int, count: int,
         order = rng.permutation(len(combos))
         pools["conjunction"] = [_conjunction_instance(*combos[i]) for i in order]
 
-    out: list[InferenceInstance] = []
-    cursors = {op: 0 for op in pools}
-    while len(out) < count:
-        progressed = False
-        for op in pools:
-            if len(out) >= count:
-                break
-            if cursors[op] < len(pools[op]):
-                out.append(pools[op][cursors[op]])
-                cursors[op] += 1
-                progressed = True
-        if not progressed:
-            raise ContractError(f"only {len(out)} distinct instances available for ops {ops}")
-    return out
+    rounds = itertools.zip_longest(*pools.values())
+    out = [inst for round_ in rounds for inst in round_ if inst is not None]
+    if len(out) < count:
+        raise ContractError(f"only {len(out)} distinct instances available for ops {ops}")
+    return out[:max(count, 0)]
 
 
 INFERENCE_OPS = ("arg_sub", "verb_sub", "further_spec", "conjunction")

@@ -43,14 +43,6 @@ def corpus_bleu(candidates: list[list], references: list[list]) -> dict[int, flo
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     scores = {}
     for n in ORDERS:
-        precisions = []
-        for k in range(1, n + 1):
-            if total[k] == 0 or matched[k] == 0:
-                precisions = None
-                break
-            precisions.append(matched[k] / total[k])
-        if precisions is None:
-            scores[n] = 0.0
-        else:
-            scores[n] = bp * math.exp(sum(math.log(p) for p in precisions) / n)
+        precisions = [matched[k] / total[k] if total[k] else 0.0 for k in range(1, n + 1)]
+        scores[n] = bp * math.exp(sum(math.log(p) for p in precisions) / n) if all(precisions) else 0.0
     return scores

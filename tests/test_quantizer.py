@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vqlat import autodiff as ad
+from vqlat import quantizer
 from vqlat.autodiff import Tensor
 from vqlat.errors import ContractError, ShapeError
 from vqlat.quantizer import (
@@ -146,6 +147,30 @@ class TestNearestEntries:
         vectors = np.array([[1.9, 2.1], [np.nan, 0.0]], dtype=np.float32)
         assert nearest_entries(vectors, entries).tolist() == [1, 0]
         assert nearest_entries(vectors[1:], entries[[0, 2]]).tolist() == [0]
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_bound_decides_every_row_with_one_candidate(self, monkeypatch, duplicate):
+        # rows sit close to their own entry of a well-separated codebook, so the
+        # GEMM bound leaves a row undecided only when its entry has an exact twin
+        rng = np.random.default_rng(18)
+        entries = rng.standard_normal((512, 64)).astype(np.float32)
+        if duplicate:
+            entries[400] = entries[3]
+        vectors = (entries[rng.integers(0, 512, size=1000)]
+                   + 0.1 * rng.standard_normal((1000, 64))).astype(np.float32)
+        calls = []
+
+        def counting(rows, table):
+            calls.append(rows)
+            return pairwise_sq_dists(rows, table)
+
+        monkeypatch.setattr(quantizer, "pairwise_sq_dists", counting)
+        got = nearest_entries(vectors, entries)
+        want = np.argmin(sq_dists_scan(vectors, entries), axis=1)
+        assert got.tolist() == want.tolist()
+        assert (want == 3).any()
+        scanned = b"".join(rows.tobytes() for rows in calls)
+        assert scanned == (vectors[want == 3].tobytes() if duplicate else b"")
 
     def test_memory_is_bounded_at_ten_thousand_entries(self):
         # the [N, K] float32 distance matrix alone would be 4096 * 10,000 * 4 = 164 MB
