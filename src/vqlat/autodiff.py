@@ -404,27 +404,53 @@ def backward(loss: Tensor) -> None:
 
 
 class Adam:
-    """Adam with bias correction over a fixed list of parameter tensors."""
+    """Adam with bias correction over a fixed list of parameter tensors of one
+    dtype.  Their data become views into one flat buffer, which each step
+    updates in place; every parameter must hold a gradient when it runs."""
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3):
         self.params = list(params)
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) != 1:
+            raise ContractError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         self.lr = lr
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._flat = np.concatenate([p.data for p in self.params], axis=None)
+        start = 0
+        for p in self.params:
+            p.data = self._flat[start:start + p.size].reshape(p.shape)
+            start += p.size
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
+        self._g = np.empty_like(self._flat)
+        self._tmp = np.empty_like(self._flat)
 
     def step(self) -> None:
+        grads = [p.grad for p in self.params]
+        missing = [i for i, g in enumerate(grads) if g is None]
+        if missing:
+            raise ContractError(f"Adam.step: parameters {missing} have no gradient")
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            self._m[i] = b1 * self._m[i] + (1 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1 - b2) * (g * g)
-            m_hat = self._m[i] / (1 - b1 ** self.t)
-            v_hat = self._v[i] / (1 - b2 ** self.t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+        g, tmp, m, v = self._g, self._tmp, self._m, self._v
+        np.concatenate(grads, axis=None, out=g)
+        # in place, in the order of b1*m + (1-b1)*g, b2*v + (1-b2)*(g*g) and
+        # lr*m_hat / (sqrt(v_hat) + eps), so every value rounds as those
+        # expressions do per parameter (tests/oracles.adam_reference)
+        np.multiply(g, 1 - b1, out=tmp)
+        m *= b1
+        m += tmp
+        g *= g
+        g *= 1 - b2
+        v *= b2
+        v += g
+        np.divide(m, 1 - b1 ** self.t, out=tmp)
+        tmp *= self.lr
+        np.divide(v, 1 - b2 ** self.t, out=g)
+        np.sqrt(g, out=g)
+        g += eps
+        tmp /= g
+        self._flat -= tmp
 
     def zero_grad(self) -> None:
         for p in self.params:

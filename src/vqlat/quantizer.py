@@ -82,12 +82,18 @@ class Codebook:
         Plain uniform draws routinely plant several entries inside one tight
         cluster and leave another cluster unclaimed; greedily taking the
         point farthest from the entries chosen so far covers every
-        well-separated cluster before refining within one.
+        well-separated cluster before refining within one.  Each pick rescans
+        only the rows its :func:`_gemm_bound` cannot rule out, so the picks
+        are those of a full scan.
         """
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] == 0:
             raise ContractError("init_from_data: need a nonempty [N, I] array")
+        if k < 1:
+            raise ContractError(f"init_from_data: need k >= 1 entries, got {k}")
         n = data.shape[0]
+        with np.errstate(over="ignore"):
+            data_sq = np.einsum("nd,nd->n", data, data)
         chosen = [int(rng.integers(n))]
         d2 = pairwise_sq_dists(data, data[chosen])[:, 0]
         while len(chosen) < k:
@@ -95,7 +101,14 @@ class Codebook:
                 chosen.append(int(rng.integers(n)))
             else:
                 chosen.append(int(np.argmax(d2)))
-            d2 = np.minimum(d2, pairwise_sq_dists(data, data[chosen[-1:]])[:, 0])
+            centre = data[chosen[-1:]]
+            # a row's d2 can fall only where its lower bound is below it, NaN or
+            # overflowed; every other row keeps its d2 bit for bit
+            with np.errstate(over="ignore", invalid="ignore"):
+                approx, margin, widen = _gemm_bound(data, data_sq, centre, data_sq[chosen[-1:]], data.dtype)
+                low = (approx[:, 0] - margin) / widen
+            scan = np.flatnonzero(~(low >= d2) | (low == np.inf))
+            d2[scan] = np.minimum(d2[scan], pairwise_sq_dists(data[scan], centre)[:, 0])
         return cls(data[chosen].astype(np.float32), decay=decay, seed=seed)
 
 
@@ -120,25 +133,21 @@ def pairwise_sq_dists(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return out
 
 
-def nearest_entries(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest entry, bit-identical to
-    ``np.argmin(pairwise_sq_dists(vectors, entries), axis=1)``.
+def _gemm_bound(x: np.ndarray, x_sq: np.ndarray, wide: np.ndarray, wide_sq: np.ndarray,
+                dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, float]:
+    """The GEMM distances ``approx = |x|^2 + |e|^2 - 2 x.e`` [n, K] of float64 rows
+    ``x`` to float64 entries ``wide`` (squared norms ``x_sq``, ``wide_sq``), and
+    the ``margin`` [n] and ``widen`` that bound :func:`pairwise_sq_dists` in ``dtype``.
 
-    Rows go through in blocks of ``max(1, 2**16 // K)``, so each block's
-    float64 [rows, K] temporaries hold about 2**16 values (0.5 MB).  A float64
-    GEMM gives every distance as ``|x|^2 + |e|^2 - 2 x.e`` to within
-    ``g64 * (|x| + max|e|)^2``; the difference form in the input dtype is
-    within ``g * D + s`` of the true distance D (relative error of d + 2
-    roundings, plus an underflow term).  Only entries whose lower bound is at
-    or below the row's smallest upper bound can hold the difference form's
-    minimum, so a row that shortlists exactly one entry takes it.  Every
-    other row (several candidates, or bounds that are not finite) is settled
-    by the reference itself, the argmin of :func:`pairwise_sq_dists`.
+    ``approx`` is within ``err = g64 * (|x| + max|e|)^2`` of the true distance D,
+    and the difference form within ``g * D + slack`` (d + 2 roundings, plus an
+    underflow term).  With ``margin = 2 * err + 2 * slack``, every exact value is
+    at least ``(approx - margin) / widen``, and only an entry whose ``approx`` is
+    at most ``(min approx + margin) * widen`` can hold a row's smallest.  Terms
+    that overflow or turn NaN come back as they are, for the caller to scan.
     """
-    vectors = np.asarray(vectors)
-    dtype = np.result_type(vectors, entries)
     info = np.finfo(dtype)
-    n, d = vectors.shape
+    d = x.shape[1]
     # g and g64 are twice the d + 2 roundings' bound in the input dtype and in
     # float64; past g = 1/3 the widened limit stops covering the bound, so
     # every row takes the full scan
@@ -146,27 +155,43 @@ def nearest_entries(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     widen = 1 + 4 * g if g < 1 / 3 else np.inf
     g64 = (d + 2) * 2.0**-52
     slack = 2 * (d + 2) * float(info.tiny)
+    approx = x @ wide.T
+    approx *= -2.0
+    approx += wide_sq
+    approx += x_sq[:, None]
+    margin = 2 * g64 * (np.sqrt(x_sq) + np.sqrt(wide_sq.max())) ** 2 + 2 * slack
+    return approx, margin, widen
+
+
+def nearest_entries(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest entry, bit-identical to
+    ``np.argmin(pairwise_sq_dists(vectors, entries), axis=1)``.
+
+    Rows go through in blocks of ``max(1, 2**16 // K)``, so each block's
+    float64 [rows, K] temporaries hold about 2**16 values (0.5 MB).  Only
+    entries whose :func:`_gemm_bound` lower bound is at or below the row's
+    smallest upper bound can hold the difference form's minimum, so a row that
+    shortlists exactly one entry takes it.  Every other row (several
+    candidates, or bounds that are not finite) is settled by the reference
+    itself, the argmin of :func:`pairwise_sq_dists`.
+    """
+    vectors = np.asarray(vectors)
+    dtype = np.result_type(vectors, entries)
     wide = entries.astype(np.float64)
     wide_sq = np.einsum("kd,kd->k", wide, wide)
-    reach = np.sqrt(wide_sq.max())
-    out = np.empty(n, dtype=np.intp)
+    out = np.empty(vectors.shape[0], dtype=np.intp)
     step = max(1, 2**16 // entries.shape[0])
-    for start in range(0, n, step):
+    for start in range(0, vectors.shape[0], step):
         block = vectors[start:start + step]
         x = block.astype(np.float64)
         # a bound that overflows or turns NaN sends its row to the full scan
         with np.errstate(over="ignore", invalid="ignore"):
-            x_sq = np.einsum("nd,nd->n", x, x)
-            approx = x @ wide.T
-            approx *= -2.0
-            approx += wide_sq
-            approx += x_sq[:, None]
-            err = g64 * (np.sqrt(x_sq) + reach) ** 2
-            limit = (approx.min(axis=1) + 2 * err + 2 * slack) * widen
+            approx, margin, widen = _gemm_bound(x, np.einsum("nd,nd->n", x, x), wide, wide_sq, dtype)
+            limit = (approx.min(axis=1) + margin) * widen
         hits = approx <= limit[:, None]
         best = out[start:start + step]
         best[:] = hits.argmax(axis=1)
-        scan = ~(limit < float(info.max)) | (np.count_nonzero(hits, axis=1) != 1)
+        scan = ~(limit < float(np.finfo(dtype).max)) | (np.count_nonzero(hits, axis=1) != 1)
         if scan.any():
             best[scan] = np.argmin(pairwise_sq_dists(block[scan], entries), axis=1)
     return out

@@ -72,6 +72,24 @@ def attention_chain(q: Tensor, k, v, mask=None) -> Tensor:
     return ad.matmul(ad.softmax(scores, axis=-1), v)
 
 
+def adam_reference(params: list[np.ndarray], grad_steps, lr: float):
+    """Adam with bias correction, one parameter at a time: the parameters and
+    the first and second moments after applying each list of gradients in
+    ``grad_steps`` in turn."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t, grads in enumerate(grad_steps, start=1):
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * (g * g)
+            m_hat = m[i] / (1 - b1 ** t)
+            v_hat = v[i] / (1 - b2 ** t)
+            p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
+    return params, m, v
+
+
 def nearest_entry_scan(vector: np.ndarray, entries: np.ndarray) -> int:
     """Linear scan for the closest codebook row, lowest index on ties."""
     best_idx = 0
@@ -92,6 +110,24 @@ def sq_dists_scan(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
         diff = vectors[i] - entries
         out[i] = np.sum(diff * diff, axis=-1)
     return out
+
+
+def farthest_point_reference(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Farthest-point seeding with every row's distance to each new pick
+    computed in full: ``k`` float32 entries, drawing from ``rng`` as
+    :meth:`Codebook.init_from_data` does."""
+    data = np.asarray(data, dtype=np.float64)
+    chosen = [int(rng.integers(data.shape[0]))]
+    diff = data - data[chosen[0]]
+    d2 = np.sum(diff * diff, axis=1)
+    while len(chosen) < k:
+        if d2.max() <= 0.0:
+            chosen.append(int(rng.integers(data.shape[0])))
+        else:
+            chosen.append(int(np.argmax(d2)))
+        diff = data - data[chosen[-1]]
+        d2 = np.minimum(d2, np.sum(diff * diff, axis=1))
+    return data[chosen].astype(np.float32)
 
 
 def interpolate_per_step(source: np.ndarray, target: np.ndarray, entries: np.ndarray,

@@ -12,7 +12,7 @@ from vqlat.autodiff import Tensor
 from vqlat.errors import ContractError, ShapeError
 from vqlat.model import causal_mask
 
-from tests.oracles import assert_grads_close, attention_chain, linear_chain
+from tests.oracles import adam_reference, assert_grads_close, attention_chain, linear_chain
 
 N_RANDOM_SHAPES = 20
 
@@ -408,6 +408,49 @@ class TestAdam:
         p.grad = np.ones(2)
         ad.Adam([p]).zero_grad()
         assert p.grad is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_per_parameter_loop(self, dtype):
+        rng = np.random.default_rng(7)
+        shapes = [(1,), (5,), (5, 3), (4, 6)]
+        start = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        # gradients of mixed scale, with exact zeros, so some moments stay tiny
+        steps = [[(rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 3, size=shape)
+                   * (rng.random(shape) > 0.2)).astype(dtype) for shape in shapes] for _ in range(6)]
+        params = [Tensor(arr.copy(), requires_grad=True) for arr in start]
+        opt = ad.Adam(params, lr=0.01)
+        for grads in steps:
+            opt.zero_grad()
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+        want, want_m, want_v = adam_reference(start, steps, lr=0.01)
+        for p, w in zip(params, want):
+            assert p.data.dtype == dtype and p.data.shape == w.shape
+            assert np.array_equal(p.data, w)
+        assert np.array_equal(opt._m, np.concatenate([m.ravel() for m in want_m]))
+        assert np.array_equal(opt._v, np.concatenate([v.ravel() for v in want_v]))
+
+    def test_parameters_are_views_of_one_buffer(self):
+        params = [Tensor(np.full(shape, i, dtype=np.float32), requires_grad=True)
+                  for i, shape in enumerate([(2, 3), (4,), (1,)])]
+        opt = ad.Adam(params)
+        assert all(np.shares_memory(p.data, opt._flat) for p in params)
+        assert opt._flat.tolist() == [0.0] * 6 + [1.0] * 4 + [2.0]
+
+    def test_mixed_dtypes_rejected(self):
+        params = [Tensor(np.zeros(2, dtype=np.float32), requires_grad=True),
+                  Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)]
+        with pytest.raises(ContractError, match="one dtype"):
+            ad.Adam(params)
+
+    def test_missing_gradient_rejected(self):
+        params = [Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)]
+        opt = ad.Adam(params)
+        params[0].grad = np.ones(2, dtype=np.float32)
+        with pytest.raises(ContractError, match=r"parameters \[1\] have no gradient"):
+            opt.step()
+        assert opt.t == 0 and params[0].data.tolist() == [1.0, 1.0]
 
 
 class TestDeterminism:

@@ -27,7 +27,7 @@ from vqlat.quantizer import (
     vq_loss,
 )
 
-from tests.oracles import assert_grads_close, nearest_entry_scan, sq_dists_scan
+from tests.oracles import assert_grads_close, farthest_point_reference, nearest_entry_scan, sq_dists_scan
 
 
 def make_codebook(entries, decay=0.99):
@@ -187,6 +187,69 @@ class TestNearestEntries:
         sample = rng.choice(4096, size=32, replace=False)
         want = np.argmin(sq_dists_scan(vectors[sample], codebook.entries), axis=1)
         assert indices[sample].tolist() == want.tolist()
+
+
+# Inputs for seeding: repeated rows, a single repeated row (every d2 reaches 0),
+# fewer distinct rows than entries, tight clusters far from the origin, and
+# rows holding inf or NaN.
+SEEDING_CASES = ("random", "duplicates", "identical", "few_distinct", "large_norm", "non_finite")
+
+
+class TestInitFromData:
+    @settings(max_examples=300, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), case=st.sampled_from(SEEDING_CASES),
+           n=st.integers(1, 60), dim=st.integers(1, 24), k=st.integers(1, 80),
+           scale_exp=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_equals_full_scan_traversal(self, dtype, case, n, dim, k, scale_exp, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n, dim)) * 10.0 ** scale_exp
+        if case == "duplicates":
+            data = data[rng.integers(0, n, size=n)]
+        elif case == "identical":
+            data[:] = data[0]
+        elif case == "few_distinct":
+            data = data[rng.integers(0, min(n, 3), size=n)]
+        elif case == "large_norm":
+            data = data * 1e-3 + rng.standard_normal(dim) * 10.0 ** scale_exp * 1e4
+        data = data.astype(dtype)
+        if case == "non_finite":
+            data.flat[rng.integers(0, data.size, size=min(2, data.size))] = \
+                rng.choice([np.nan, np.inf, -np.inf], size=min(2, data.size))
+        with np.errstate(all="ignore"):
+            want = farthest_point_reference(data, k, np.random.default_rng(seed))
+            got = Codebook.init_from_data(data, k, np.random.default_rng(seed)).entries
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_full_scan_traversal_where_the_gemm_form_cancels(self, seed):
+        # rows 1e-3 apart at 1e6 from the origin: the GEMM distances carry errors
+        # far above the distances themselves, so only the bound's margin keeps
+        # the rows whose d2 falls
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((60, 16)) * 1e-3 + rng.standard_normal(16) * 1e6
+        want = farthest_point_reference(data, 40, np.random.default_rng(seed))
+        np.testing.assert_array_equal(Codebook.init_from_data(data, 40, np.random.default_rng(seed)).entries,
+                                      want)
+
+    def test_well_separated_clusters_reach_the_exact_kernel_rarely(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        means = rng.standard_normal((64, 32)) * 10
+        data = means[rng.integers(0, 64, size=2000)] + 0.1 * rng.standard_normal((2000, 32))
+        rows = []
+
+        def counting(vectors, entries):
+            rows.append(vectors.shape[0] * entries.shape[0])
+            return pairwise_sq_dists(vectors, entries)
+
+        monkeypatch.setattr(quantizer, "pairwise_sq_dists", counting)
+        got = Codebook.init_from_data(data, 128, np.random.default_rng(2)).entries
+        np.testing.assert_array_equal(got, farthest_point_reference(data, 128, np.random.default_rng(2)))
+        assert 0 < sum(rows) < 0.1 * 2000 * 128
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_fewer_than_one_entry_rejected(self, k):
+        with pytest.raises(ContractError):
+            Codebook.init_from_data(np.ones((4, 2)), k, np.random.default_rng(0))
 
 
 class TestQuantizeGumbel:

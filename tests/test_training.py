@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vqlat import autodiff as ad
 from vqlat import corpus as cg
 from vqlat import model as md
+from vqlat import training
 from vqlat.cli import _reconstruct_report, main
 from vqlat.errors import ContractError
 from vqlat.model import ModelConfig
@@ -316,6 +317,26 @@ class TestBundlePersistence:
         np.testing.assert_array_equal(idx_a, idx_b)
         np.testing.assert_array_equal(q_a, q_b)
         assert loaded.decode_words(idx_b[None]) == bundle.decode_words(idx_a[None])
+
+    def test_saved_weights_are_the_optimizer_buffer(self, tmp_path, monkeypatch):
+        optimizers = []
+
+        class RecordingAdam(ad.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        tokens = small_corpus()
+        vocab = cg.build_vocab(tokens)
+        config = ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2, max_len=16)
+        bundle = train_model(tokens, vocab, config, QuantizerConfig(), make_schedule())
+        (opt,) = optimizers
+        assert opt.t > 0
+        save_bundle(tmp_path / "model.ckpt", bundle)
+        arrays = load_bundle(tmp_path / "model.ckpt").params.arrays()
+        assert list(arrays) == bundle.params.names()
+        assert np.concatenate([a.ravel() for a in arrays.values()]).tobytes() == opt._flat.tobytes()
 
     def test_codebook_tensors_present(self, tmp_path, memorization_fixture):
         path = tmp_path / "model.ckpt"
