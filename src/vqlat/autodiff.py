@@ -183,29 +183,37 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(data, (x, w, b), backward_fn)
 
 
-def attention(q: Tensor, k, v, mask: np.ndarray | None = None) -> Tensor:
-    """``softmax(q kᵀ / sqrt(dh) + mask) v`` over head-split [B, heads, L, dh]
-    stacks as one node; ``k`` and ``v`` may be plain arrays that take no gradient."""
+def attention(q: Tensor, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(q kᵀ / sqrt(dh) + mask) v`` per head over [B, L, d] streams as one node that
+    owns the head split; ``k`` and ``v`` may be plain arrays that take no gradient."""
     k, v = _coerce(k, q), _coerce(v, q)
-    if q.ndim != 4 or k.shape != v.shape or q.shape[:2] + q.shape[3:] != k.shape[:2] + k.shape[3:]:
-        raise ShapeError(f"attention: shapes {q.shape}, {k.shape} and {v.shape} disagree")
+    if ((q.ndim, k.ndim) != (3, 3) or k.shape != v.shape or q.shape[::2] != k.shape[::2]
+            or heads < 1 or q.shape[2] % heads):
+        raise ShapeError(f"attention: shapes {q.shape}, {k.shape} and {v.shape} do not split into {heads} heads")
+
+    def split(x):  # [B, L, d] -> [B, heads, L, dh], a view
+        return x.reshape(x.shape[0], x.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(x):  # [B, heads, L, dh] -> [B, L, d]
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # a float64 scale would promote float32 scores
-    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=q.data.dtype)
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=q.data.dtype)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
     if mask is not None:
         scores = scores + mask.astype(scores.dtype)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    data = np.matmul(p, v.data)
 
     def backward_fn(g):
-        dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        dp = np.matmul(split(g), np.swapaxes(vh, -1, -2))
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-        return (np.matmul(ds, k.data) if q.requires_grad else None,
-                np.matmul(np.swapaxes(ds, -1, -2), q.data) if k.requires_grad else None,
-                np.matmul(np.swapaxes(p, -1, -2), g) if v.requires_grad else None)
+        return (merge(np.matmul(ds, kh)) if q.requires_grad else None,
+                merge(np.matmul(np.swapaxes(ds, -1, -2), qh)) if k.requires_grad else None,
+                merge(np.matmul(np.swapaxes(p, -1, -2), split(g))) if v.requires_grad else None)
 
-    return _node(data, (q, k, v), backward_fn)
+    return _node(merge(np.matmul(p, vh)), (q, k, v), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -309,7 +317,7 @@ def sum_(x: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
 
 
 def mean_(x: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
-    count = x.size if axis is None else x.shape[axis]
+    count = x.size if axis is None else np.prod(np.take(x.shape, axis))
     return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 

@@ -6,12 +6,12 @@ quantized elsewhere and handed back to :func:`decode_batch`, whose cross-attenti
 uses them directly (they are never concatenated into the token stream).
 Positions are sinusoidal; blocks are pre-norm with a final layer norm on each
 stack.  Every projection is one ``ad.linear`` node and every attention core one
-``ad.attention`` node over the head-split streams.  :func:`param_layout` names
-each parameter's shape and init kind, so a checkpoint is checked without
-drawing weights.  :func:`greedy_generate` steps the decoder over a key/value
-cache (the latents' cross-attention keys and values are projected once per
-stack), drops each row once it emits the end id, and keeps the full-prefix
-``max_len`` guard.
+``ad.attention`` node, which alone splits the [B, L, d] streams into heads.
+:func:`param_layout` names each parameter's shape and init kind, so a
+checkpoint is checked without drawing weights.  :func:`greedy_generate` steps
+the decoder over a key/value cache (the latents' cross-attention keys and
+values are projected once per stack), drops each row once it emits the end
+id, and keeps the full-prefix ``max_len`` guard.
 """
 
 from __future__ import annotations
@@ -144,24 +144,19 @@ def _multi_head_attention(params: ModelParams, prefix: str, config: ModelConfig,
                           mask: np.ndarray | None, cache: dict | None = None) -> Tensor:
     """Projected scaled dot-product attention over [B, L, d] streams.  A ``cache`` keeps
     the keys and values under ``prefix``, appending those of ``keys_values`` if given."""
-    b, lq, d = queries.shape
-    h, dh = config.n_heads, d // config.n_heads
-
     def project(x, name):
-        y = ad.linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
-        return ad.transpose(ad.reshape(y, (b, x.shape[1], h, dh)), (0, 2, 1, 3))
+        return ad.linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
 
     q = project(queries, "q")
     if keys_values is not None:
         k, v = project(keys_values, "k"), project(keys_values, "v")
     if cache is not None:
         if keys_values is not None:
-            held = cache.get(prefix, [np.empty((b, h, 0, dh), q.data.dtype)] * 2)
-            cache[prefix] = [np.concatenate([a, t.data], axis=2) for a, t in zip(held, (k, v))]
+            held = cache.get(prefix, [k.data[:, :0], v.data[:, :0]])
+            cache[prefix] = [np.concatenate([a, t.data], axis=1) for a, t in zip(held, (k, v))]
         k, v = cache[prefix]
 
-    ctx = ad.reshape(ad.transpose(ad.attention(q, k, v, mask), (0, 2, 1, 3)), (b, lq, d))
-    return ad.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return project(ad.attention(q, k, v, config.n_heads, mask), "o")
 
 
 def _feed_forward(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
@@ -182,18 +177,20 @@ def _validate_ids(ids: np.ndarray, config: ModelConfig, past: int = 0) -> None:
         raise InputError(f"token id outside vocabulary of size {config.vocab_size}")
 
 
+def _embed(params: ModelParams, config: ModelConfig, ids: np.ndarray, past: int = 0) -> Tensor:
+    # scale embeddings by sqrt(d) so token identity is not drowned out by the
+    # O(1)-per-dim positional signal
+    x = ad.mul(ad.embedding_lookup(params["tok_emb"], ids), float(np.sqrt(config.d_model)))
+    return ad.add(x, Tensor(sinusoidal_positions(ids.shape[1], config.d_model, x.data.dtype, past)))
+
+
 def encode_batch(token_ids: np.ndarray, params: ModelParams, config: ModelConfig) -> Tensor:
     """Continuous embeddings [B, L, d] for same-length id rows [B, L]."""
     ids = np.asarray(token_ids)
     if ids.ndim != 2:
         raise ShapeError(f"encode_batch: expected [B, L] ids, got shape {ids.shape}")
     _validate_ids(ids, config)
-    b, length = ids.shape
-
-    # scale embeddings by sqrt(d) so token identity is not drowned out by the
-    # O(1)-per-dim positional signal
-    x = ad.mul(ad.embedding_lookup(params["tok_emb"], ids), float(np.sqrt(config.d_model)))
-    x = ad.add(x, Tensor(sinusoidal_positions(length, config.d_model, params["tok_emb"].data.dtype)))
+    x = _embed(params, config, ids)
     for i in range(config.n_layers_enc):
         normed = _layer_norm(params, f"enc.{i}.ln1", x)
         x = ad.add(x, _multi_head_attention(params, f"enc.{i}.attn", config, normed, normed, None))
@@ -202,9 +199,9 @@ def encode_batch(token_ids: np.ndarray, params: ModelParams, config: ModelConfig
 
 
 def causal_mask(length: int, past: int = 0) -> np.ndarray:
-    """Additive mask [1, 1, length, past + length]: query i sees keys up to past + i."""
-    mask = np.zeros((1, 1, length, past + length), dtype=np.float32)
-    mask[0, 0][np.triu_indices(length, k=past + 1, m=past + length)] = NEG_INF
+    """Additive mask [length, past + length]: query i sees keys up to past + i."""
+    mask = np.zeros((length, past + length), dtype=np.float32)
+    mask[np.triu_indices(length, k=past + 1, m=past + length)] = NEG_INF
     return mask
 
 
@@ -213,9 +210,9 @@ def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
     """Next-token logits [B, L', vocab] given latent rows [B, L, d].
 
     Without a ``cache`` the whole prefix is decoded (teacher forcing).  A cache,
-    first ``{}``, keeps each attention block's [keys, values] arrays [B, heads,
-    positions, d / heads], with no tape: ``prefix_ids`` continue its positions,
-    and the latents' cross-attention ones are projected on the first call only."""
+    first ``{}``, keeps each attention block's [keys, values] arrays [B, positions,
+    d], with no tape: ``prefix_ids`` continue its positions, and the latents'
+    cross-attention ones are projected on the first call only."""
     if latents.ndim != 3:
         raise ShapeError(f"decode_batch: expected [B, L, d] latents, got {latents.shape}")
     if latents.shape[-1] != config.d_model:
@@ -223,13 +220,10 @@ def decode_batch(latents: Tensor, prefix_ids: np.ndarray, params: ModelParams,
     ids = np.asarray(prefix_ids)
     if ids.ndim != 2 or ids.shape[0] != latents.shape[0]:
         raise ShapeError(f"decode_batch: prefix shape {ids.shape} does not match batch {latents.shape[0]}")
-    past = cache["dec.0.self"][0].shape[2] if cache else 0
+    past = cache["dec.0.self"][0].shape[1] if cache else 0
     _validate_ids(ids, config, past)
-    b, length = ids.shape
-
-    x = ad.mul(ad.embedding_lookup(params["tok_emb"], ids), float(np.sqrt(config.d_model)))
-    x = ad.add(x, Tensor(sinusoidal_positions(length, config.d_model, x.data.dtype, past)))
-    mask = causal_mask(length, past)
+    x = _embed(params, config, ids, past)
+    mask = causal_mask(ids.shape[1], past)
     for i in range(config.n_layers_dec):
         normed = _layer_norm(params, f"dec.{i}.ln1", x)
         x = ad.add(x, _multi_head_attention(params, f"dec.{i}.self", config, normed, normed,

@@ -220,12 +220,12 @@ def quantize_gumbel(scores: np.ndarray, codebook: Codebook, tau: float,
     rescales the perturbed scores but never changes the argmax; passing a
     fixed ``noise`` array makes that invariance directly observable.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:  # NaN fails too
         raise ContractError(f"gumbel temperature must be positive, got {tau}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != codebook.size:
         raise ShapeError(f"quantize_gumbel: expected [L, {codebook.size}] scores, got {scores.shape}")
-    if (scores <= 0.0).any():
+    if not (scores > 0.0).all():
         raise ContractError("quantize_gumbel: scores must be strictly positive")
     if noise is None:
         u = rng.random(scores.shape)

@@ -62,14 +62,20 @@ def linear_chain(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), b)
 
 
-def attention_chain(q: Tensor, k, v, mask=None) -> Tensor:
-    """``ad.attention`` as a chain of transpose, matmul, scale, mask, softmax and
-    matmul nodes over [B, heads, L, dh] stacks."""
-    k, v = (t if isinstance(t, Tensor) else Tensor(t) for t in (k, v))
+def attention_chain(q: Tensor, k, v, heads: int, mask=None) -> Tensor:
+    """``ad.attention`` as a chain of nodes over [B, L, d] streams: reshape and
+    transpose into [B, heads, L, dh] stacks, then transpose, matmul, scale, mask,
+    softmax and matmul, then transpose and reshape back to [B, Lq, d]."""
+    def split(t):
+        t = t if isinstance(t, Tensor) else Tensor(t)
+        return ad.transpose(ad.reshape(t, (t.shape[0], t.shape[1], heads, -1)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
         scores = ad.add(scores, Tensor(mask.astype(scores.data.dtype)))
-    return ad.matmul(ad.softmax(scores, axis=-1), v)
+    ctx = ad.transpose(ad.matmul(ad.softmax(scores, axis=-1), v), (0, 2, 1, 3))
+    return ad.reshape(ctx, (ctx.shape[0], ctx.shape[1], -1))
 
 
 def adam_reference(params: list[np.ndarray], grad_steps, lr: float):

@@ -132,12 +132,17 @@ class TestLinear:
             ad.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
-def attention_reference(q, k, v, mask):
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
-    if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return (e / e.sum(axis=-1, keepdims=True)) @ v
+def attention_reference(q, k, v, heads, mask):
+    """Attention over [B, L, d] arrays, one head's column slice at a time."""
+    dh = q.shape[-1] // heads
+    out = []
+    for cols in (slice(i * dh, (i + 1) * dh) for i in range(heads)):
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(dh)
+        if mask is not None:
+            scores = scores + mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out.append((e / e.sum(axis=-1, keepdims=True)) @ v[..., cols])
+    return np.concatenate(out, axis=-1)
 
 
 ATTENTION_CASES = {  # heads, query length, key length, causal mask's past (None: no mask)
@@ -147,6 +152,7 @@ ATTENTION_CASES = {  # heads, query length, key length, causal mask's past (None
     "one_head_causal_step": (1, 1, 4, 3),
     "cross_lq_below_lk": (4, 2, 5, None),
     "cross_lq_above_lk": (1, 5, 2, None),
+    "two_heads_causal_with_past": (2, 3, 4, 1),
 }
 
 
@@ -155,40 +161,45 @@ class TestAttention:
     def test_gradients(self, case):
         h, lq, lk, past = ATTENTION_CASES[case]
         rng = np.random.default_rng(900 + h * 10 + lq * lk)
-        q, k, v = leaf(rng, 2, h, lq, 3), leaf(rng, 2, h, lk, 3), leaf(rng, 2, h, lk, 3)
+        q, k, v = leaf(rng, 2, lq, h * 3), leaf(rng, 2, lk, h * 3), leaf(rng, 2, lk, h * 3)
         mask = None if past is None else causal_mask(lq, past).astype(np.float64)
-        r = rng.standard_normal((2, h, lq, 3))
-        run_backward(ad.mul(ad.attention(q, k, v, mask), Tensor(r, dtype=np.float64)))
+        r = rng.standard_normal((2, lq, h * 3))
+        run_backward(ad.mul(ad.attention(q, k, v, h, mask), Tensor(r, dtype=np.float64)))
         assert_grads_close(
-            lambda: float((attention_reference(q.data, k.data, v.data, mask) * r).sum()), [q, k, v])
+            lambda: float((attention_reference(q.data, k.data, v.data, h, mask) * r).sum()), [q, k, v])
 
     @pytest.mark.parametrize("plain", [True, False], ids=["arrays", "constant_tensors"])
     def test_keys_values_without_gradient(self, plain):
         rng = np.random.default_rng(11)
-        q = leaf(rng, 2, 4, 1, 3)
-        k, v = rng.standard_normal((2, 2, 4, 4, 3))
+        q = leaf(rng, 2, 1, 12)
+        k, v = rng.standard_normal((2, 2, 4, 12))
         mask = causal_mask(1, 3).astype(np.float64)
         r = rng.standard_normal(q.shape)
         kv = (k, v) if plain else (Tensor(k), Tensor(v))
-        run_backward(ad.mul(ad.attention(q, *kv, mask), Tensor(r, dtype=np.float64)))
-        assert_grads_close(lambda: float((attention_reference(q.data, k, v, mask) * r).sum()), [q])
+        run_backward(ad.mul(ad.attention(q, *kv, 4, mask), Tensor(r, dtype=np.float64)))
+        assert_grads_close(lambda: float((attention_reference(q.data, k, v, 4, mask) * r).sum()), [q])
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(12)
-        q, k, v = (Tensor(rng.standard_normal((1, 2, 3, 4)).astype(np.float32), requires_grad=True)
+        q, k, v = (Tensor(rng.standard_normal((1, 3, 8)).astype(np.float32), requires_grad=True)
                    for _ in range(3))
-        y = ad.attention(q, k, v, causal_mask(3))
+        y = ad.attention(q, k, v, 2, causal_mask(3))
         run_backward(y)
         assert y.data.dtype == np.float32
         assert all(t.grad.dtype == np.float32 for t in (q, k, v))
 
-    @pytest.mark.parametrize("k_shape,v_shape", [((1, 2, 3, 5), (1, 2, 3, 5)),
-                                                 ((1, 3, 3, 4), (1, 3, 3, 4)),
-                                                 ((1, 2, 3, 4), (1, 2, 2, 4)),
-                                                 ((2, 3, 4), (2, 3, 4))])
+    @pytest.mark.parametrize("k_shape,v_shape", [((1, 3, 10), (1, 3, 10)),
+                                                 ((2, 3, 8), (2, 3, 8)),
+                                                 ((1, 3, 8), (1, 2, 8)),
+                                                 ((1, 2, 3, 4), (1, 2, 3, 4))])
     def test_shape_error(self, k_shape, v_shape):
         with pytest.raises(ShapeError, match="attention"):
-            ad.attention(Tensor(np.zeros((1, 2, 3, 4))), np.zeros(k_shape), np.zeros(v_shape))
+            ad.attention(Tensor(np.zeros((1, 3, 8))), np.zeros(k_shape), np.zeros(v_shape), 2)
+
+    @pytest.mark.parametrize("heads", [3, 5, 16, 0])
+    def test_width_not_divisible_by_heads(self, heads):
+        with pytest.raises(ShapeError, match=f"{heads} heads"):
+            ad.attention(Tensor(np.zeros((1, 3, 8))), np.zeros((1, 2, 8)), np.zeros((1, 2, 8)), heads)
 
 
 class TestFusedForwardEqualsChain:
@@ -206,12 +217,13 @@ class TestFusedForwardEqualsChain:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("b,h,lq,lk,past", [(16, 4, 9, 9, 0), (32, 4, 1, 7, 6),
-                                                (16, 4, 9, 12, None), (3, 1, 1, 1, None)])
+                                                (16, 4, 9, 12, None), (3, 1, 1, 1, None),
+                                                (8, 2, 5, 5, 0)])
     def test_attention(self, dtype, b, h, lq, lk, past):
         rng = np.random.default_rng(b * lq + lk)
-        q, k, v = (Tensor(rng.standard_normal((b, h, n, 16)).astype(dtype)) for n in (lq, lk, lk))
+        q, k, v = (Tensor(rng.standard_normal((b, n, h * 16)).astype(dtype)) for n in (lq, lk, lk))
         mask = None if past is None else causal_mask(lq, past)
-        got, want = ad.attention(q, k, v, mask).data, attention_chain(q, k, v, mask).data
+        got, want = ad.attention(q, k, v, h, mask).data, attention_chain(q, k, v, h, mask).data
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
 
@@ -356,11 +368,13 @@ class TestShapeOps:
 
 
 class TestReductions:
-    @pytest.mark.parametrize("seed", range(N_RANDOM_SHAPES))
+    @pytest.mark.parametrize("seed", [*range(N_RANDOM_SHAPES),
+                                      pytest.param(N_RANDOM_SHAPES, id="tuple_axis")])
     def test_sum_mean_gradients(self, seed):
         rng = np.random.default_rng(700 + seed)
-        shape = tuple(rng.integers(1, 5, size=2))
-        axis = int(rng.integers(0, 2))
+        tuple_axis = seed == N_RANDOM_SHAPES
+        shape = tuple(rng.integers(1, 5, size=3 if tuple_axis else 2))
+        axis = (0, -1) if tuple_axis else int(rng.integers(0, 2))
         x = leaf(rng, *shape)
         w = rng.standard_normal(np.sum(x.data, axis=axis).shape)
         run_backward(ad.mul(ad.mean_(x, axis=axis), Tensor(w, dtype=np.float64)))

@@ -218,8 +218,8 @@ class TestDecodeCache:
             md.decode_batch(latents, np.full((2, 1), token), params, config, cache)
         assert sorted(cache) == ["dec.0.cross", "dec.0.self", "dec.1.cross", "dec.1.self"]
         assert all(isinstance(a, np.ndarray) for kv in cache.values() for a in kv)
-        assert cache["dec.1.self"][0].shape == (2, 2, 2, 4)
-        assert cache["dec.1.cross"][1].shape == (2, 2, 3, 4)
+        assert cache["dec.1.self"][0].shape == (2, 2, 8)
+        assert cache["dec.1.cross"][1].shape == (2, 3, 8)
 
     def test_cached_length_counts_toward_max_len(self):
         config = md.ModelConfig(vocab_size=9, d_model=8, n_heads=2, max_len=3)

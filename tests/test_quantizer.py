@@ -296,6 +296,16 @@ class TestQuantizeGumbel:
         with pytest.raises(ContractError):
             quantize_gumbel(np.array([[1.0, 0.0]]), cb, tau=1.0, rng=np.random.default_rng(0))
 
+    def test_nan_temperature_rejected(self):
+        cb = make_codebook(np.eye(2, dtype=np.float32))
+        with pytest.raises(ContractError, match="temperature"):
+            quantize_gumbel(np.ones((1, 2)), cb, tau=float("nan"), rng=np.random.default_rng(0))
+
+    def test_nan_scores_rejected(self):
+        cb = make_codebook(np.eye(2, dtype=np.float32))
+        with pytest.raises(ContractError, match="positive"):
+            quantize_gumbel(np.array([[1.0, np.nan]]), cb, tau=1.0, rng=np.random.default_rng(0))
+
 
 class TestVqLoss:
     def test_zero_residual_reduces_to_reconstruction(self):

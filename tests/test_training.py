@@ -142,6 +142,32 @@ def test_step_gradients_equal_chained_linear_and_attention(monkeypatch):
             assert relative_error(grad, chained[name]) < 1e-9, name
 
 
+def test_teacher_forced_forward_records_72_nodes(monkeypatch):
+    """At the benchmark's shape (d_model 64, 4 heads, 2+2 layers, a [16, 6] batch)
+    one forward records 72 tape nodes; the head split stays inside each of the
+    six attention nodes, so no reshape or transpose node reaches the tape."""
+    tokens = small_corpus()
+    vocab = cg.build_vocab(tokens)
+    config = ModelConfig(vocab_size=len(vocab), d_model=64, n_heads=4, n_layers_enc=2,
+                         n_layers_dec=2)
+    params = md.init_params(config, np.random.default_rng(0))
+    rows = np.random.default_rng(1).integers(4, len(vocab), size=(16, 6))
+    codebook = warmup_codebook(list(rows), params, config, 32, 0.9, np.random.default_rng(2))
+    bundle = ModelBundle(config, params, codebook, QuantizerConfig(), vocab)
+    ops = []
+    record = ad._node
+
+    def counting(data, parents, backward_fn):
+        ops.append(backward_fn.__qualname__.split(".")[0])
+        return record(data, parents, backward_fn)
+
+    monkeypatch.setattr(ad, "_node", counting)
+    teacher_forced(bundle, rows)
+    assert len(ops) == 72
+    assert ops.count("attention") == 6
+    assert "reshape" not in ops and "transpose" not in ops
+
+
 class TestLengthBatches:
     def test_shuffled_batches_follow_the_per_length_shuffle(self):
         tokens = small_corpus(40)
