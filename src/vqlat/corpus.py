@@ -376,19 +376,6 @@ def derive_conclusion(p1: AnnotatedSentence, p2: AnnotatedSentence, op: str) -> 
             for tok in (["and"] if piece is None else premises[piece[0]][piece[1]:piece[2]])]
 
 
-def inference_fixture_corpus(instances: list[InferenceInstance]) -> list[AnnotatedSentence]:
-    """Deduplicated premises and conclusions, suitable for memorization training."""
-    seen: set[str] = set()
-    corpus: list[AnnotatedSentence] = []
-    for inst in instances:
-        for sent in (inst.premise1, inst.premise2, inst.conclusion):
-            key = sent.text()
-            if key not in seen:
-                seen.add(key)
-                corpus.append(sent)
-    return corpus
-
-
 # -- math expressions ---------------------------------------------------------
 
 MATH_SPLITS = ("EVAL", "VAR", "EASY", "EQ", "LEN")

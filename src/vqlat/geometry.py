@@ -27,6 +27,13 @@ def _euclidean_to_entries(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return np.sqrt(pairwise_sq_dists(rows.astype(np.float64), entries.astype(np.float64)))
 
 
+def pad_pair(source: np.ndarray, target: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two index rows of one length: the shorter one gets ``pad`` appended."""
+    length = max(len(source), len(target))
+    return tuple(np.concatenate([idx, np.full(length - len(idx), pad)])
+                 for idx in (source, target))
+
+
 def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
                 step_size: float = 0.1,
                 pad_index: int | None = None) -> tuple[list[float], np.ndarray]:
@@ -36,8 +43,10 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
     At each step every position moves to the entry minimizing the weighted
     pair of distances ``(1-t)*d(previous, entry) + t*d(target, entry)``, so the
     final step lands exactly on the target entries.  Unequal lengths require a
-    ``pad_index`` entry (appended to the shorter sequence) and are otherwise
-    rejected.
+    ``pad_index`` entry (:func:`pad_pair`) and are otherwise rejected.
+
+    Positions step independently, in blocks of ``max(1, 2**15 // K)`` over one memo of
+    each distinct entry's distance row, so one call can take many pairs' padded rows.
     """
     source = codebook.check_indices(source, "interpolate source")
     target = codebook.check_indices(target, "interpolate target")
@@ -45,31 +54,29 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
         if pad_index is None:
             raise ContractError(
                 f"length mismatch {len(source)} vs {len(target)} and no pad index given")
-        pad = codebook.check_indices(pad_index, "interpolate pad")
-        length = max(len(source), len(target))
-        source, target = (np.concatenate([idx, np.full(length - len(idx), pad)])
-                          for idx in (source, target))
+        source, target = pad_pair(source, target,
+                                  codebook.check_indices(pad_index, "interpolate pad"))
     if not 0.0 < step_size <= 1.0:
         raise ContractError(f"step_size must lie in (0, 1], got {step_size}")
-    entries = codebook.entries
-    # Every position on the path is an entry, so each distinct entry's exact
-    # row of distances to the codebook is computed once and gathered by index.
     memo: dict[int, np.ndarray] = {}
 
     def entry_dists(idx: np.ndarray) -> np.ndarray:
         new = sorted({int(i) for i in idx} - memo.keys())
         if new:
-            memo.update(zip(new, _euclidean_to_entries(entries[new], entries)))
+            memo.update(zip(new, _euclidean_to_entries(codebook.entries[new], codebook.entries)))
         return np.stack([memo[int(i)] for i in idx])
 
-    tgt_dists = entry_dists(target)
     n_steps = round(1.0 / step_size)
-    times = [0.0] + [min(k * step_size, 1.0) if k < n_steps else 1.0
-                     for k in range(1, n_steps + 1)]
-    steps = [source]
-    for t in times[1:]:
-        steps.append(np.argmin((1.0 - t) * entry_dists(steps[-1]) + t * tgt_dists, axis=1))
-    return times, np.stack(steps)
+    times = [min(k * step_size, 1.0) if k < n_steps else 1.0 for k in range(n_steps + 1)]
+    steps = np.tile(source.astype(np.intp), (len(times), 1))  # blocks overwrite steps 1..
+    block = max(1, 2**15 // codebook.size)
+    for start in range(0, len(source), block):
+        cols = slice(start, start + block)
+        tgt_dists = entry_dists(target[cols])
+        for k, t in enumerate(times[1:], 1):
+            steps[k, cols] = np.argmin((1.0 - t) * entry_dists(steps[k - 1, cols])
+                                       + t * tgt_dists, axis=1)
+    return times, steps
 
 
 def dump_path(times: Sequence[float], steps: np.ndarray, decoded: Sequence[Sequence]) -> str:

@@ -41,6 +41,19 @@ def train_bundle(token_lists, seed=0, epochs=60, codebook_size=256, target=1.0,
     return bundle, log
 
 
+def inference_fixture_corpus(instances: list[cg.InferenceInstance]) -> list[cg.AnnotatedSentence]:
+    """Deduplicated premises and conclusions, suitable for memorization training."""
+    seen: set[str] = set()
+    corpus: list[cg.AnnotatedSentence] = []
+    for inst in instances:
+        for sent in (inst.premise1, inst.premise2, inst.conclusion):
+            key = sent.text()
+            if key not in seen:
+                seen.add(key)
+                corpus.append(sent)
+    return corpus
+
+
 @pytest.fixture(scope="session")
 def memorization_fixture():
     sentences = cg.generate_sentences(0, 10)
@@ -66,7 +79,7 @@ def trained_fixture():
 @pytest.fixture(scope="session")
 def inference_fixture():
     instances = cg.generate_inference_instances(0, 100)
-    corpus = cg.inference_fixture_corpus(instances)
+    corpus = inference_fixture_corpus(instances)
     tokens = [s.tokens for s in corpus]
     start = time.monotonic()
     bundle, log = train_bundle(tokens, seed=0, epochs=80, codebook_size=256)

@@ -12,15 +12,17 @@ import pytest
 
 from vqlat import autodiff as ad
 from vqlat import corpus as cg
+from vqlat import geometry as geo
 from vqlat import model as md
 from vqlat import quantizer
 from vqlat.cli import main
 from vqlat.errors import ContractError
 from vqlat.reports import fmt
-from vqlat.training import ModelBundle, load_bundle, save_bundle
+from vqlat.training import ModelBundle, load_bundle, save_bundle, sentences_to_ids
 
 from tests.conftest import train_bundle
-from tests.oracles import attention_chain, greedy_generate_one, linear_chain, sq_dists_scan
+from tests.oracles import (attention_chain, greedy_generate_one, interpolate_per_step, linear_chain,
+                           sq_dists_scan)
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +269,34 @@ class TestReports:
                          "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "i1" / "interpolation.txt").read_bytes() == \
             (tmp_path / "i2" / "interpolation.txt").read_bytes()
+
+    def test_interpolate_steps_every_pair_in_one_call(self, tmp_path, tiny_ckpt, monkeypatch):
+        calls = []
+        interpolate = geo.interpolate
+        monkeypatch.setattr(geo, "interpolate",
+                            lambda *a, **kw: calls.append(a) or interpolate(*a, **kw))
+        assert main(["interpolate", "--checkpoint", tiny_ckpt["ckpt"],
+                     "--corpus", tiny_ckpt["corpus"], "--random", "12", "--seed", "4",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        bundle = load_bundle(tiny_ckpt["ckpt"])
+        pad = bundle.end_token_index()
+        tokens = [s.tokens for s in tiny_ckpt["sentences"]]
+        paths = sorted(tmp_path.glob("path_*.txt"))
+        assert len(paths) == 12  # seed 4 draws 12 distinct pairs
+        lengths = []
+        for path in paths:
+            i, j = (int(k) for k in path.stem.split("_")[1:])
+            src, tgt = bundle.quantize_ids(sentences_to_ids([tokens[i], tokens[j]], bundle.vocab))
+            lengths.append((len(src), len(tgt)))
+            want = [",".join(str(int(k)) for k in indices)
+                    for _, indices in interpolate_per_step(src, tgt, bundle.codebook.entries,
+                                                           pad_index=pad)]
+            assert [line.split("\t")[1] for line in path.read_text().splitlines()] == want, path
+        # pairs of unequal and of different padded lengths share the call
+        assert any(a != b for a, b in lengths)
+        assert len({max(pair) for pair in lengths}) > 1
+        assert len(calls[0][0]) == sum(max(pair) for pair in lengths)
 
     def test_traverse_and_arith_run(self, tiny_ckpt, capsys):
         sentence = tiny_ckpt["sentences"][0].text()

@@ -5,6 +5,8 @@ import pytest
 from vqlat import corpus as cg
 from vqlat.errors import ContractError, InputError
 
+from tests.conftest import inference_fixture_corpus
+
 
 class TestGrammar:
     def test_is_a_example_tokens_and_roles(self):
@@ -108,7 +110,7 @@ class TestInferenceInstances:
 
     def test_fixture_corpus_dedupes(self):
         insts = cg.generate_inference_instances(3, 50)
-        corpus = cg.inference_fixture_corpus(insts)
+        corpus = inference_fixture_corpus(insts)
         texts = [s.text() for s in corpus]
         assert len(texts) == len(set(texts))
         everything = {s.text() for i in insts for s in (i.premise1, i.premise2, i.conclusion)}

@@ -4,8 +4,12 @@ Model-dependent behaviour (trained fixtures) lives in the training and
 acceptance suites; here the codebooks and latents are synthetic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqlat import corpus as cg
 from vqlat import geometry as geo
@@ -85,6 +89,66 @@ class TestInterpolate:
             for got_t, got, (t, indices) in zip(times, steps, want):
                 assert got_t == t
                 assert got.tolist() == indices.tolist(), (trial, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from(["distinct", "duplicates", "few_distinct"]),
+           k=st.one_of(st.integers(1, 40), st.integers(2**12, 2**13)), dim=st.integers(1, 6),
+           n_pairs=st.integers(1, 8), step_size=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_call_over_concatenated_pairs_equals_each_pair(self, case, k, dim, n_pairs,
+                                                               step_size, seed):
+        # k of 4096-8192 makes blocks of 4-8 positions, so the pairs cross block boundaries
+        rng = np.random.default_rng(seed)
+        entries = rng.standard_normal((k, dim))
+        if case == "duplicates":
+            entries = entries[rng.integers(0, k, size=k)]
+        elif case == "few_distinct":  # argmin ties at nearly every step
+            entries = entries[rng.integers(0, min(k, 3), size=k)]
+        cb = make_codebook(entries)
+        pad = int(rng.integers(0, k))
+        pairs = [(rng.integers(0, k, size=int(rng.integers(1, 8))),
+                  rng.integers(0, k, size=int(rng.integers(1, 8)))) for _ in range(n_pairs)]
+        padded = [geo.pad_pair(src, tgt, pad) for src, tgt in pairs]
+        source = np.concatenate([src for src, _ in padded])
+        target = np.concatenate([tgt for _, tgt in padded])
+        rows = []
+        exact = geo._euclidean_to_entries
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geo, "_euclidean_to_entries",
+                          lambda r, e: rows.append(len(r)) or exact(r, e))
+            times, steps = geo.interpolate(source, target, cb, step_size=step_size)
+        # the rows read are the targets' and every step's but the last (nothing steps from it)
+        assert sum(rows) == len(set(target.tolist()) | set(steps[:-1].ravel().tolist()))
+        start = 0
+        for (src, tgt), (padded_src, _) in zip(pairs, padded):
+            want = interpolate_per_step(src, tgt, cb.entries, step_size, pad)
+            assert times == [t for t, _ in want]
+            np.testing.assert_array_equal(steps[:, start:start + len(padded_src)],
+                                          np.stack([indices for _, indices in want]))
+            start += len(padded_src)
+
+    def test_memory_grows_with_distinct_entries_not_positions(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        k, dim, positions = 512, 64, 400
+        cb = make_codebook(rng.standard_normal((k, dim)))
+        source, target = (rng.integers(0, 64, size=positions) for _ in range(2))
+        geo.interpolate(source[:2], target[:2], cb)  # numpy's lazy imports stay out of the peak
+        rows = []
+        exact = geo._euclidean_to_entries
+        monkeypatch.setattr(geo, "_euclidean_to_entries",
+                            lambda r, e: rows.append(len(r)) or exact(r, e))
+        tracemalloc.start()
+        try:
+            geo.interpolate(source, target, cb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        memo = sum(rows) * k * 8  # the float64 distance rows of the distinct entries
+        # the float64 codebook, one 2**17-value difference block of pairwise_sq_dists,
+        # and six float64 [2**15 // K, K] temporaries of a block; one [positions, K]
+        # array of the same temporaries would be 1.6 MB each
+        budget = k * dim * 8 + 2**17 * 8 + 6 * 2**15 * 8
+        assert peak <= memo + budget, (peak, memo, budget)
 
     def test_length_mismatch_without_padding(self, cb):
         with pytest.raises(ContractError):
