@@ -33,10 +33,13 @@ def corpus_bleu(candidates: list[list], references: list[list]) -> dict[int, flo
         cand_len += len(cand)
         ref_len += len(ref)
         for n in ORDERS:
-            cand_counts = _ngrams(cand, n)
-            ref_counts = _ngrams(ref, n)
-            matched[n] += sum(min(c, ref_counts.get(g, 0)) for g, c in cand_counts.items())
-            total[n] += max(len(cand) - n + 1, 0)
+            grams = max(len(cand) - n + 1, 0)
+            total[n] += grams
+            if cand == ref:  # a copy clips each of its n-grams at its own count
+                matched[n] += grams
+            else:
+                ref_counts = _ngrams(ref, n)
+                matched[n] += sum(min(c, ref_counts.get(g, 0)) for g, c in _ngrams(cand, n).items())
 
     if cand_len == 0:
         return {n: 0.0 for n in ORDERS}

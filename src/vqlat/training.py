@@ -185,11 +185,23 @@ def warmup_codebook(ids: list[np.ndarray], params: md.ModelParams, config: md.Mo
     return Codebook.init_from_data(data, k, rng, decay=decay, seed=int(rng.integers(2**31)))
 
 
+# Cached greedy steps round logits ~1e-6 off the teacher-forced pass; a wider lead wins in both.
+VERIFY_MARGIN = 1e-4
+
+
+def _verified(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Rows [B] whose teacher-forced argmax is the target at every position, by more than
+    ``VERIFY_MARGIN * max(1, |winner|)``; the decoder is causal, so each is its own greedy decode."""
+    runner, winner = np.moveaxis(np.partition(logits, -2, axis=-1)[..., -2:], -1, 0)
+    clear = winner - runner > VERIFY_MARGIN * np.maximum(1.0, np.abs(winner))
+    return ((logits.argmax(axis=-1) == targets) & clear).all(axis=1)
+
+
 def reconstruct(bundle: ModelBundle, ids: list[np.ndarray]) -> tuple[list[list[int]], float]:
     """Greedy reconstructions of id sequences, in input order, and their
     teacher-forced next-token accuracy.  Each length is encoded and quantized
-    once: its quantized rows feed the teacher-forced forward and its entry
-    indices the greedy decode."""
+    once: its teacher-forced forward verifies the rows that are their own greedy
+    decode, and only the other rows' entry indices are greedy-decoded."""
     hits = total = 0
 
     def decode(rows: np.ndarray) -> list[list[int]]:
@@ -197,8 +209,11 @@ def reconstruct(bundle: ModelBundle, ids: list[np.ndarray]) -> tuple[list[list[i
         _, indices, _, logits, targets = teacher_forced(bundle, rows)
         hits += int((logits.data.argmax(axis=-1) == targets).sum())
         total += targets.size
+        verified = _verified(logits.data, targets)
         del logits  # the greedy decode's peak need not hold the teacher-forced logits
-        return bundle.decode_ids(indices.reshape(rows.shape), max_len=rows.shape[1] + 2)
+        greedy = iter(bundle.decode_ids(indices.reshape(rows.shape)[~verified],
+                                        max_len=rows.shape[1] + 2))
+        return [row.tolist() if ok else next(greedy) for row, ok in zip(rows, verified)]
 
     decodes = by_length(decode, ids)
     return decodes, hits / total

@@ -8,13 +8,15 @@ implementations under test.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 
 from vqlat import autodiff as ad
 from vqlat import model as md
 from vqlat.autodiff import Tensor
-from vqlat.training import length_batches, sentences_to_ids, teacher_forced
+from vqlat.training import by_length, length_batches, sentences_to_ids, teacher_forced
 
 
 def finite_difference(f, tensors, h: float = 1e-5):
@@ -285,6 +287,22 @@ def greedy_generate_one(latents: np.ndarray, params, config, max_len: int,
     return generated
 
 
+def reconstruct_greedy_all(bundle, ids: list[np.ndarray]) -> tuple[list[list[int]], float]:
+    """Reconstructions as ``training.reconstruct`` made them before it trusted its
+    teacher-forced pass: each length's token accuracy, and a greedy decode of
+    every row."""
+    hits = total = 0
+
+    def decode(rows: np.ndarray) -> list[list[int]]:
+        nonlocal hits, total
+        _, indices, _, logits, targets = teacher_forced(bundle, rows)
+        hits += int((logits.data.argmax(axis=-1) == targets).sum())
+        total += targets.size
+        return bundle.decode_ids(indices.reshape(rows.shape), max_len=rows.shape[1] + 2)
+
+    return by_length(decode, ids), hits / total
+
+
 def token_accuracy_per_length(bundle, token_lists: list[list[str]]) -> float:
     """Teacher-forced next-token accuracy counted one length batch at a time, on
     its own encode and quantize, apart from any greedy decode."""
@@ -294,3 +312,27 @@ def token_accuracy_per_length(bundle, token_lists: list[list[str]]) -> float:
         total += targets.size
         correct += int((logits.data.argmax(axis=-1) == targets).sum())
     return correct / total
+
+
+def corpus_bleu_counting(candidates: list[list], references: list[list]) -> dict[int, float]:
+    """BLEU-1..4 counting and clipping every sentence's n-grams, a copy of its
+    reference included."""
+    matched = {n: 0 for n in range(1, 5)}
+    total = {n: 0 for n in range(1, 5)}
+    cand_len = ref_len = 0
+    for cand, ref in zip(candidates, references):
+        cand_len += len(cand)
+        ref_len += len(ref)
+        for n in range(1, 5):
+            cand_counts = Counter(tuple(cand[i:i + n]) for i in range(len(cand) - n + 1))
+            ref_counts = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+            matched[n] += sum(min(c, ref_counts.get(g, 0)) for g, c in cand_counts.items())
+            total[n] += max(len(cand) - n + 1, 0)
+    if cand_len == 0:
+        return {n: 0.0 for n in range(1, 5)}
+    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    scores = {}
+    for n in range(1, 5):
+        precisions = [matched[k] / total[k] if total[k] else 0.0 for k in range(1, n + 1)]
+        scores[n] = bp * math.exp(sum(math.log(p) for p in precisions) / n) if all(precisions) else 0.0
+    return scores

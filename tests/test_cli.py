@@ -22,7 +22,7 @@ from vqlat.training import ModelBundle, load_bundle, save_bundle, sentences_to_i
 
 from tests.conftest import train_bundle
 from tests.oracles import (attention_chain, greedy_generate_one, interpolate_per_step, linear_chain,
-                           sq_dists_scan)
+                           reconstruct_greedy_all, sq_dists_scan)
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +252,26 @@ class TestReports:
                          "--corpus", tiny_ckpt["corpus"], "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "r1" / "reconstruct.txt").read_bytes() == \
             (tmp_path / "r2" / "reconstruct.txt").read_bytes()
+
+    @pytest.mark.parametrize("epochs", [None, 3])  # the tiny checkpoint; one that misses all
+    def test_reconstruct_equals_greedy_decoding_every_row(self, tmp_path, tiny_ckpt, epochs,
+                                                          monkeypatch, capsys):
+        ckpt = tiny_ckpt["ckpt"]
+        if epochs is not None:
+            weak, _ = train_bundle([s.tokens for s in tiny_ckpt["sentences"]], seed=1,
+                                   epochs=epochs, codebook_size=64, d_model=32, target=None)
+            ckpt = str(tmp_path / "weak.ckpt")
+            save_bundle(ckpt, weak)
+        outputs = []
+        for name in ("verified", "greedy"):
+            if name == "greedy":
+                monkeypatch.setattr("vqlat.cli.reconstruct", reconstruct_greedy_all)
+            assert main(["reconstruct", "--checkpoint", ckpt, "--corpus", tiny_ckpt["corpus"],
+                         "--out", str(tmp_path / name)]) == 0
+            outputs.append(((tmp_path / name / "reconstruct.txt").read_bytes(),
+                            capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert b"\tMISS\t" in outputs[0][0]
 
     def test_interpolate_source_equals_target_all_ones(self, tmp_path, tiny_ckpt):
         assert main(["interpolate", "--checkpoint", tiny_ckpt["ckpt"],

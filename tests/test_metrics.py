@@ -1,11 +1,18 @@
-"""BLEU scoring checks against hand-computed values."""
+"""BLEU scoring checks against hand-computed values and a counting oracle."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqlat.errors import ContractError
 from vqlat.metrics import corpus_bleu
+
+from tests.oracles import corpus_bleu_counting
+
+# short sentences over few words: repeats, sentences shorter than 4, empty ones
+SENTENCE = st.lists(st.sampled_from("abc"), max_size=6)
 
 
 class TestCorpusBleu:
@@ -50,3 +57,11 @@ class TestCorpusBleu:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
             corpus_bleu([], [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(SENTENCE, SENTENCE, st.booleans()), min_size=1, max_size=6))
+    def test_equals_counting_oracle(self, pairs):
+        # a drawn flag makes the candidate an equal copy of its reference
+        candidates = [list(ref) if copy else cand for cand, ref, copy in pairs]
+        references = [ref for _, ref, _ in pairs]
+        assert corpus_bleu(candidates, references) == corpus_bleu_counting(candidates, references)

@@ -189,6 +189,28 @@ class TestLengthBatches:
         assert got == [[[7], [4]], [[5, 6], [8, 9]]]
 
 
+def greedy_spy(monkeypatch) -> list[np.ndarray]:
+    """Latent stacks [B, L, d] of every ``model.greedy_generate`` call from now on."""
+    stacks = []
+    greedy_generate = md.greedy_generate
+
+    def spy(stack, *args, **kwargs):
+        stacks.append(np.array(stack))
+        return greedy_generate(stack, *args, **kwargs)
+
+    monkeypatch.setattr(md, "greedy_generate", spy)
+    return stacks
+
+
+def oracle_decodes(bundle, ids) -> list[list[int]]:
+    """Each id row's greedy decode by the one-sequence oracle, with ``max_len`` L + 2."""
+    entries = bundle.codebook.entries
+    return [greedy_generate_one(entries[bundle.quantize_ids([row])[0]], bundle.params,
+                                bundle.config, len(row) + 2, bundle.vocab.START,
+                                bundle.vocab.END)
+            for row in ids]
+
+
 class TestMemorization:
     def test_exact_match_reaches_one(self, memorization_fixture):
         bundle = memorization_fixture["bundle"]
@@ -224,14 +246,7 @@ class TestMemorization:
         distinct = {tuple(row): row for row in rows}
         lengths = {len(row) for row in distinct.values()}
         assert len(lengths) > 1 and len(distinct) < len(rows)
-        stacks = []
-        greedy_generate = md.greedy_generate
-
-        def spy(stack, *args, **kwargs):
-            stacks.append(np.array(stack))
-            return greedy_generate(stack, *args, **kwargs)
-
-        monkeypatch.setattr(md, "greedy_generate", spy)
+        stacks = greedy_spy(monkeypatch)
         got = bundle.decode_ids(rows)
         monkeypatch.undo()
         entries = bundle.codebook.entries
@@ -324,6 +339,70 @@ class TestSharedPasses:
         report = _reconstruct_report(bundle, tokens)
         rate = exact_match_rate(bundle, sentences_to_ids(tokens, bundle.vocab))
         assert report.splitlines()[1] == f"exact_match\t{fmt(rate)}"
+
+
+class TestVerifiedRows:
+    """A row whose teacher-forced pass wins every position clearly is its own decode."""
+
+    @staticmethod
+    def logits(targets, gap, top=10.0):
+        # [B, P, 6] logits: the runner-up ``top`` in the last column, each target
+        # ``gap`` above it, every other column far below
+        targets = np.asarray(targets)
+        out = np.full(targets.shape + (6,), top - 50.0, dtype=np.float32)
+        out[..., -1] = top
+        np.put_along_axis(out, targets[..., None], np.float32(top + gap), axis=-1)
+        return out, targets
+
+    def test_clear_margin_is_verified(self):
+        assert training._verified(*self.logits([[1, 4, 0, 2]], gap=0.01)).tolist() == [True]
+        # below |winner| = 1 the margin stays 1e-4 absolute
+        assert training._verified(*self.logits([[1, 4, 0, 2]], gap=2e-4, top=0.5)).tolist() == [True]
+
+    @pytest.mark.parametrize("gap, top", [(5e-4, 10.0), (5e-4, -10.0), (5e-5, 0.5)])
+    def test_correct_argmax_inside_the_margin_is_not(self, gap, top):
+        logits, targets = self.logits([[1, 4, 0, 2]], gap=gap, top=top)
+        assert (logits.argmax(axis=-1) == targets).all()
+        assert training._verified(logits, targets).tolist() == [False]
+
+    def test_exact_tie_is_not(self):
+        logits, targets = self.logits([[1, 4, 0, 2]], gap=0.0)
+        assert (logits.argmax(axis=-1) == targets).all()  # the tie goes to the target
+        assert training._verified(logits, targets).tolist() == [False]
+
+    @pytest.mark.parametrize("position", range(4))  # the last one is END's
+    def test_wrong_argmax_at_any_position_is_not(self, position):
+        logits, targets = self.logits([[1, 4, 0, 2], [3, 3, 1, 2]], gap=1.0)
+        logits[1, position, targets[1, position]] = -100.0  # the runner-up wins clearly
+        assert training._verified(logits, targets).tolist() == [True, False]
+
+    def test_memorized_rows_make_no_greedy_call(self, memorization_fixture, monkeypatch):
+        bundle = memorization_fixture["bundle"]
+        ids = sentences_to_ids(memorization_fixture["tokens"], bundle.vocab)
+        stacks = greedy_spy(monkeypatch)
+        decodes, _ = reconstruct(bundle, ids)
+        monkeypatch.undo()
+        assert stacks == []
+        assert decodes == oracle_decodes(bundle, ids)
+
+    def test_only_unverified_rows_are_greedy_decoded(self, memorization_fixture, monkeypatch):
+        tokens = memorization_fixture["tokens"]
+        partial, _ = train_bundle(tokens, seed=0, epochs=14, codebook_size=64, target=None)
+        ids = sentences_to_ids(tokens, partial.vocab)
+        want = oracle_decodes(partial, ids)
+        misses = [i for i, row in enumerate(ids) if want[i] != row.tolist()]
+        missed_lengths = {len(ids[i]) for i in misses}
+        # one length stack holds rows that decode to themselves and rows that do not
+        assert any(len(row) in missed_lengths and i not in misses for i, row in enumerate(ids))
+        stacks = greedy_spy(monkeypatch)
+        decodes, _ = reconstruct(partial, ids)
+        monkeypatch.undo()
+        assert decodes == want
+        assert sorted(stack.shape[1] for stack in stacks) == sorted(missed_lengths)
+        entries = partial.codebook.entries
+        passed = [latents.tobytes() for stack in stacks for latents in stack]
+        assert sorted(passed) == sorted({entries[partial.quantize_ids([ids[i]])[0]].tobytes()
+                                         for i in misses})
 
 
 class TestBundlePersistence:
