@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage error, 3 contract/validation error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .errors import ContractError, InputError
 from .metrics import corpus_bleu
 from .model import ModelConfig
 from .quantizer import QuantizerConfig
-from .reports import DictCodec, atomic_write_text, fmt, read_lines
+from .reports import DictCodec, atomic_write_text, fmt, read_json, read_lines
 from .training import (
     ModelBundle,
     TrainSchedule,
@@ -68,10 +67,7 @@ class RunConfig(DictCodec):
 
 def load_run_config(path: str, overrides: dict) -> RunConfig:
     """File -> environment (VQL_*) -> flag overrides, in increasing precedence."""
-    try:
-        config = RunConfig.from_dict(json.loads("".join(read_lines(path))))
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"run config {path!r} is not JSON: {exc}") from exc
+    config = RunConfig.from_dict(read_json(path, "run config"))
     values = {}
     for key, cast in (("seed", int), ("epochs", int), ("lr", float), ("out_dir", str),
                       ("corpus", str)):
@@ -90,17 +86,6 @@ def load_run_config(path: str, overrides: dict) -> RunConfig:
             setattr(config, key, value)
     config.validate()
     return config
-
-
-def _load_tokens(corpus_path: str) -> list[list[str]]:
-    first = next((line for line in read_lines(corpus_path) if line.strip()), "")
-    if "\t" in first or "/" not in first:
-        tokens = [e.tokens for e in cg.load_math_corpus(corpus_path)]
-    else:
-        tokens = [s.tokens for s in cg.load_corpus(corpus_path)]
-    if not tokens:
-        raise ContractError(f"corpus {corpus_path!r} holds no sentences")
-    return tokens
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -122,7 +107,7 @@ def cmd_gen_corpus(args) -> int:
 def cmd_train(args) -> int:
     config = load_run_config(args.config, {"seed": args.seed, "epochs": args.epochs,
                                            "out_dir": args.out})
-    tokens = _load_tokens(config.corpus)
+    tokens = cg.load_tokens(config.corpus)
     vocab = cg.build_vocab(tokens)
     model_section = dict(config.model)
     model_section.setdefault("vocab_size", len(vocab))
@@ -159,7 +144,7 @@ def _reconstruct_report(bundle: ModelBundle, tokens: list[list[str]]) -> str:
 
 def cmd_reconstruct(args) -> int:
     bundle = load_bundle(args.checkpoint)
-    tokens = _load_tokens(args.corpus)
+    tokens = cg.load_tokens(args.corpus)
     report = _reconstruct_report(bundle, tokens)
     if args.out:
         atomic_write_text(os.path.join(args.out, "reconstruct.txt"), report)
@@ -191,7 +176,7 @@ def _decode_groups(bundle: ModelBundle, groups) -> list[list[list[str]]]:
 
 def cmd_interpolate(args) -> int:
     bundle = load_bundle(args.checkpoint)
-    tokens = _load_tokens(args.corpus)
+    tokens = cg.load_tokens(args.corpus)
     pairs = _interpolation_pairs(args, len(tokens))
     pad = bundle.end_token_index()
 
@@ -246,12 +231,16 @@ def cmd_arith(args) -> int:
     return 0
 
 
+def _latents(bundle: ModelBundle, sentences) -> list[geo.SentenceLatents]:
+    """Each annotated sentence with the entry indices it quantizes to."""
+    indices = bundle.quantize_ids(sentences_to_ids([s.tokens for s in sentences], bundle.vocab))
+    return [geo.SentenceLatents(s.tokens, s.roles, row) for s, row in zip(sentences, indices)]
+
+
 def cmd_disentangle(args) -> int:
     bundle = load_bundle(args.checkpoint)
-    sentences = cg.load_corpus(args.corpus)
-    indices = bundle.quantize_ids(sentences_to_ids([s.tokens for s in sentences], bundle.vocab))
-    occurrences = [(s.tokens, s.roles, row) for s, row in zip(sentences, indices)]
-    stats = geo.disentanglement_stats(occurrences, bundle.codebook)
+    stats = geo.disentanglement_stats(_latents(bundle, cg.load_corpus(args.corpus)),
+                                      bundle.codebook)
     lines = ["role_content\tnum_centers\tavg_dis\tmax_dis\tmin_dis"]
     lines += [f"{s.label}\t{s.num_centers}\t{fmt(s.avg_dis)}\t{fmt(s.max_dis)}\t{fmt(s.min_dis)}"
               for s in stats]
@@ -357,11 +346,10 @@ def cmd_infer(args) -> int:
     and_index = None
     if args.op == "conjunction":
         carrier = next((p1.tokens for p1, _, _ in instances if "and" in p1.tokens), None)
-        and_index = bundle.connective_index(carrier or ["a", "shark", "can", "swim", "and", "fly"])
+        and_index = bundle.connective_index(
+            carrier or cg.make_can_conj("shark", "swim", "fly").tokens)
 
-    premises = [p for p1, p2, _ in instances for p in (p1, p2)]
-    indices = bundle.quantize_ids(sentences_to_ids([p.tokens for p in premises], bundle.vocab))
-    latents = [geo.SentenceLatents(p.tokens, p.roles, row) for p, row in zip(premises, indices)]
+    latents = _latents(bundle, [p for p1, p2, _ in instances for p in (p1, p2)])
 
     # raises NoAnchorError (exit 3) where derive_conclusion gave None
     hybrids = [geo.substitute(s1, s2, args.op, bundle.codebook, and_index=and_index)

@@ -9,7 +9,7 @@ token positions align one-to-one with role labels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +68,9 @@ VERB_SYNONYMS = (
 
 # Relation markers checked in order; used to classify arbitrary decoded output.
 RELATION_MARKERS = ("causes", "means", "requires", "can", "is")
+# The topic of the first marker a sentence contains, checked in order; is-a without one.
+TOPIC_MARKERS = (("if", TOPIC_IF_THEN), ("causes", TOPIC_CAUSE), ("means", TOPIC_MEAN),
+                 ("requires", TOPIC_REQUIRES), ("can", TOPIC_CAN))
 
 
 @dataclass
@@ -93,53 +96,44 @@ class AnnotatedSentence:
 # -- template builders -------------------------------------------------------
 
 
+def _template(template_id: str, line: str) -> AnnotatedSentence:
+    """A template written as one corpus line, whose format gives its roles and topic."""
+    return replace(parse_annotated(line), template_id=template_id)
+
+
 def make_is_a(subject: str, obj: tuple[str, ...] | str, negated: bool = False) -> AnnotatedSentence:
-    obj_tokens = [obj] if isinstance(obj, str) else list(obj)
-    tokens = ["a", subject, "is"] + (["not"] if negated else []) + ["a", "kind", "of"] + obj_tokens
-    roles = ["O", "ARG1", "PRED"] + (["NEG"] if negated else []) + ["O", "O", "O"] + ["ARG2"] * len(obj_tokens)
-    return AnnotatedSentence(tokens, roles, "is_a_neg" if negated else "is_a", TOPIC_IS_A)
+    objs = " ".join(f"{w}/ARG2" for w in ([obj] if isinstance(obj, str) else obj))
+    neg = " not/NEG" if negated else ""
+    return _template("is_a_neg" if negated else "is_a",
+                     f"a/O {subject}/ARG1 is/PRED{neg} a/O kind/O of/O {objs}")
 
 
 def make_requires(subject: str, resource: str, purpose: str) -> AnnotatedSentence:
-    tokens = ["a", subject, "requires", resource, "to", purpose]
-    roles = ["O", "ARG1", "PRED", "ARG2", "O", "MOD"]
-    return AnnotatedSentence(tokens, roles, "requires", TOPIC_REQUIRES)
+    return _template("requires", f"a/O {subject}/ARG1 requires/PRED {resource}/ARG2 to/O {purpose}/MOD")
 
 
 def make_causes(subject: str, effect: str) -> AnnotatedSentence:
-    tokens = ["a", subject, "causes", effect]
-    roles = ["O", "ARG1", "PRED", "ARG2"]
-    return AnnotatedSentence(tokens, roles, "causes", TOPIC_CAUSE)
+    return _template("causes", f"a/O {subject}/ARG1 causes/PRED {effect}/ARG2")
 
 
 def make_means_nn(subject: str, obj: str) -> AnnotatedSentence:
-    tokens = ["a", subject, "means", obj]
-    roles = ["O", "ARG1", "PRED", "ARG2"]
-    return AnnotatedSentence(tokens, roles, "means_nn", TOPIC_MEAN)
+    return _template("means_nn", f"a/O {subject}/ARG1 means/PRED {obj}/ARG2")
 
 
 def make_means_vv(verb: str, synonym: str) -> AnnotatedSentence:
-    tokens = [verb, "means", synonym]
-    roles = ["ARG1", "PRED", "ARG2"]
-    return AnnotatedSentence(tokens, roles, "means_vv", TOPIC_MEAN)
+    return _template("means_vv", f"{verb}/ARG1 means/PRED {synonym}/ARG2")
 
 
 def make_if_then(event1: str, verb1: str, event2: str, verb2: str) -> AnnotatedSentence:
-    tokens = ["if", "a", event1, verb1, "then", "a", event2, verb2]
-    roles = ["O", "O", "ARG1", "PRED", "O", "O", "ARG2", "MOD"]
-    return AnnotatedSentence(tokens, roles, "if_then", TOPIC_IF_THEN)
+    return _template("if_then", f"if/O a/O {event1}/ARG1 {verb1}/PRED then/O a/O {event2}/ARG2 {verb2}/MOD")
 
 
 def make_can(subject: str, verb: str) -> AnnotatedSentence:
-    tokens = ["a", subject, "can", verb]
-    roles = ["O", "ARG1", "MOD", "PRED"]
-    return AnnotatedSentence(tokens, roles, "can", TOPIC_CAN)
+    return _template("can", f"a/O {subject}/ARG1 can/MOD {verb}/PRED")
 
 
 def make_can_conj(subject: str, verb1: str, verb2: str) -> AnnotatedSentence:
-    tokens = ["a", subject, "can", verb1, "and", verb2]
-    roles = ["O", "ARG1", "MOD", "PRED", "O", "PRED"]
-    return AnnotatedSentence(tokens, roles, "can_conj", TOPIC_CAN)
+    return _template("can_conj", f"a/O {subject}/ARG1 can/MOD {verb1}/PRED and/O {verb2}/PRED")
 
 
 def generate_sentences(seed: int, count: int) -> list[AnnotatedSentence]:
@@ -187,17 +181,7 @@ def generate_sentences(seed: int, count: int) -> list[AnnotatedSentence]:
 
 def infer_topic(tokens: list[str]) -> str:
     """Classify an arbitrary token sequence into a template family."""
-    if "if" in tokens:
-        return TOPIC_IF_THEN
-    if "causes" in tokens:
-        return TOPIC_CAUSE
-    if "means" in tokens:
-        return TOPIC_MEAN
-    if "requires" in tokens:
-        return TOPIC_REQUIRES
-    if "can" in tokens:
-        return TOPIC_CAN
-    return TOPIC_IS_A
+    return next((topic for marker, topic in TOPIC_MARKERS if marker in tokens), TOPIC_IS_A)
 
 
 def extract_relation(tokens: list[str]) -> str | None:
@@ -255,11 +239,9 @@ def _verb_sub_instance(pair: tuple[str, str], subject: str) -> InferenceInstance
 
 
 def _further_spec_instance(subject: str, resource: str, purpose: str, verb: str) -> InferenceInstance:
-    p1 = make_requires(subject, resource, purpose)
-    p2 = make_can(subject, verb)
-    conclusion = AnnotatedSentence(p2.tokens + ["to", purpose],
-                                   p2.roles + ["O", "MOD"], "can_spec", TOPIC_CAN)
-    return InferenceInstance(p1, p2, "further_spec", conclusion)
+    conclusion = _template("can_spec", f"a/O {subject}/ARG1 can/MOD {verb}/PRED to/O {purpose}/MOD")
+    return InferenceInstance(make_requires(subject, resource, purpose), make_can(subject, verb),
+                             "further_spec", conclusion)
 
 
 def _conjunction_instance(subject: str, verb1: str, verb2: str) -> InferenceInstance:
@@ -283,20 +265,17 @@ def generate_inference_instances(seed: int, count: int,
     if "arg_sub" in ops:
         specifics = ["shark"] + [s for s in SPECIFIC_NOUNS if s != "shark"]
         pools["arg_sub"] = [_arg_sub_instance(s) for s in specifics]
-    if "verb_sub" in ops:
-        combos = [(pair, noun) for pair in VERB_SYNONYMS for noun in SPECIFIC_NOUNS]
-        order = rng.permutation(len(combos))
-        pools["verb_sub"] = [_verb_sub_instance(*combos[i]) for i in order]
-    if "further_spec" in ops:
-        combos = [(s, r, p, v) for s in SPECIFIC_NOUNS[:8] for r in RESOURCES[:4]
-                  for p in PURPOSES[:3] for v in ABILITY_VERBS[:3]]
-        order = rng.permutation(len(combos))
-        pools["further_spec"] = [_further_spec_instance(*combos[i]) for i in order]
-    if "conjunction" in ops:
-        combos = [(s, v1, v2) for s in SPECIFIC_NOUNS for v1 in ABILITY_VERBS[:5]
-                  for v2 in ABILITY_VERBS[5:]]
-        order = rng.permutation(len(combos))
-        pools["conjunction"] = [_conjunction_instance(*combos[i]) for i in order]
+    shuffled = (
+        ("verb_sub", _verb_sub_instance, itertools.product(VERB_SYNONYMS, SPECIFIC_NOUNS)),
+        ("further_spec", _further_spec_instance, itertools.product(
+            SPECIFIC_NOUNS[:8], RESOURCES[:4], PURPOSES[:3], ABILITY_VERBS[:3])),
+        ("conjunction", _conjunction_instance, itertools.product(
+            SPECIFIC_NOUNS, ABILITY_VERBS[:5], ABILITY_VERBS[5:])),
+    )
+    for op, build, combos in shuffled:
+        if op in ops:
+            pool = list(combos)
+            pools[op] = [build(*pool[i]) for i in rng.permutation(len(pool))]
 
     rounds = itertools.zip_longest(*pools.values())
     out = [inst for round_ in rounds for inst in round_ if inst is not None]
@@ -390,7 +369,6 @@ TRAIN_MIN_VARS, TRAIN_MAX_VARS = 2, 4
 class MathExpression:
     tokens: list[str]
     split_tag: str
-    variables: set[str] = field(default_factory=set)
 
     def __post_init__(self):
         if self.split_tag not in MATH_SPLITS:
@@ -398,18 +376,20 @@ class MathExpression:
         if self.tokens.count("(") != self.tokens.count(")"):
             raise ContractError("unbalanced delimiters")
 
+    @property
+    def variables(self) -> set[str]:
+        """Every alphabetic token that does not name a function."""
+        return {t for t in self.tokens if t.isalpha() and t not in MATH_FUNCTIONS}
+
     def text(self) -> str:
         return " ".join(self.tokens)
 
 
-def _sample_expression(rng, variables, n_vars):
+def _sample_expression(rng, variables, n_vars) -> list[str]:
     """Chain of terms, each a bare variable or unary function application."""
-    order = rng.permutation(len(variables))[:n_vars]
     tokens: list[str] = []
-    used: set[str] = set()
-    for i, vi in enumerate(order):
+    for i, vi in enumerate(rng.permutation(len(variables))[:n_vars]):
         var = variables[int(vi)]
-        used.add(var)
         if i > 0:
             tokens.append(MATH_OPERATORS[int(rng.integers(len(MATH_OPERATORS)))])
         if rng.random() < 0.5:
@@ -417,7 +397,7 @@ def _sample_expression(rng, variables, n_vars):
             tokens.extend([fn, "(", var, ")"])
         else:
             tokens.append(var)
-    return tokens, used
+    return tokens
 
 
 def generate_math(seed: int, count: int, split: str) -> list[MathExpression]:
@@ -436,21 +416,20 @@ def generate_math(seed: int, count: int, split: str) -> list[MathExpression]:
     out = []
     for _ in range(count):
         if split == "EASY":
-            tokens, used = _sample_expression(rng, TRAIN_VARIABLES, 1)
+            tokens = _sample_expression(rng, TRAIN_VARIABLES, 1)
         elif split == "LEN":
             n = int(rng.integers(TRAIN_MAX_VARS + 1, TRAIN_MAX_VARS + 4))
-            tokens, used = _sample_expression(rng, TRAIN_VARIABLES, n)
+            tokens = _sample_expression(rng, TRAIN_VARIABLES, n)
         elif split == "VAR":
             n = int(rng.integers(TRAIN_MIN_VARS, TRAIN_MAX_VARS + 1))
-            tokens, used = _sample_expression(rng, NOVEL_VARIABLES, n)
+            tokens = _sample_expression(rng, NOVEL_VARIABLES, n)
         else:
             n = int(rng.integers(TRAIN_MIN_VARS, TRAIN_MAX_VARS + 1))
-            tokens, used = _sample_expression(rng, TRAIN_VARIABLES, n)
+            tokens = _sample_expression(rng, TRAIN_VARIABLES, n)
             if split == "EQ":
                 lhs = TRAIN_VARIABLES[int(rng.integers(len(TRAIN_VARIABLES)))]
                 tokens = [lhs, "="] + tokens
-                used = used | {lhs}
-        out.append(MathExpression(tokens, split, used))
+        out.append(MathExpression(tokens, split))
     return out
 
 
@@ -500,6 +479,7 @@ def format_annotated(sentence: AnnotatedSentence) -> str:
 
 
 def parse_annotated(line: str) -> AnnotatedSentence:
+    """One ``token/ROLE ...`` line; its topic is :func:`infer_topic` of its tokens."""
     tokens, roles = [], []
     for piece in line.split():
         if "/" not in piece:
@@ -508,6 +488,12 @@ def parse_annotated(line: str) -> AnnotatedSentence:
         tokens.append(tok)
         roles.append(role)
     return AnnotatedSentence(tokens, roles, "loaded", infer_topic(tokens))
+
+
+def parse_math(line: str) -> MathExpression:
+    """One ``expression<TAB>split`` line; a line without a tab is EVAL."""
+    text, _, tag = line.rstrip("\n").partition("\t")
+    return MathExpression(text.split(), tag or "EVAL")
 
 
 def save_corpus(path, sentences: list[AnnotatedSentence]) -> None:
@@ -523,12 +509,14 @@ def save_math_corpus(path, expressions: list[MathExpression]) -> None:
 
 
 def load_math_corpus(path) -> list[MathExpression]:
-    out = []
-    for line in read_lines(path):
-        if not line.strip():
-            continue
-        text, _, tag = line.rstrip("\n").partition("\t")
-        tokens = text.split()
-        out.append(MathExpression(tokens, tag or "EVAL",
-                                  {t for t in tokens if t.isalpha() and t not in MATH_FUNCTIONS}))
-    return out
+    return [parse_math(line) for line in read_lines(path) if line.strip()]
+
+
+def load_tokens(path) -> list[list[str]]:
+    """Token lists of a corpus file; a first line with a tab or no ``/`` reads as math."""
+    lines = [line for line in read_lines(path) if line.strip()]
+    parse = parse_math if not lines or "\t" in lines[0] or "/" not in lines[0] else parse_annotated
+    tokens = [parse(line).tokens for line in lines]
+    if not tokens:
+        raise ContractError(f"corpus {path!r} holds no sentences")
+    return tokens

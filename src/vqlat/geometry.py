@@ -178,6 +178,18 @@ def latent_arithmetic_add(a: np.ndarray, b: np.ndarray, codebook: Codebook) -> n
 
 
 @dataclass
+class SentenceLatents:
+    """A sentence's tokens, role labels and entry indices, aligned position by position."""
+    tokens: list[str]
+    roles: list[str]
+    indices: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.tokens) == len(self.roles) == len(self.indices):
+            raise ContractError("tokens, roles, and entry indices must align")
+
+
+@dataclass
 class RoleContentStats:
     label: str
     num_centers: int
@@ -186,20 +198,17 @@ class RoleContentStats:
     min_dis: float
 
 
-def disentanglement_stats(occurrences: Sequence[tuple[list[str], list[str], np.ndarray]],
+def disentanglement_stats(sentences: Sequence[SentenceLatents],
                           codebook: Codebook) -> list[RoleContentStats]:
     """Dispersion of each role-content pair over the codebook.
 
-    ``occurrences`` holds (tokens, roles, entry indices) per sentence.  For
-    every role-content label the distinct assigned entries are collected;
-    distances are pairwise Euclidean among those entries, zero when a single
-    center is used.
+    For every role-content label the distinct entries its tokens are assigned
+    are collected; distances are pairwise Euclidean among those entries, zero
+    when a single center is used.
     """
     centers: dict[str, set[int]] = {}
-    for tokens, roles, indices in occurrences:
-        if not (len(tokens) == len(roles) == len(indices)):
-            raise ContractError("tokens, roles, and indices must align")
-        for tok, role, idx in zip(tokens, roles, indices):
+    for sentence in sentences:
+        for tok, role, idx in zip(sentence.tokens, sentence.roles, sentence.indices):
             if role == "O":
                 continue
             centers.setdefault(f"{role}-{tok}", set()).add(int(idx))
@@ -218,17 +227,6 @@ def disentanglement_stats(occurrences: Sequence[tuple[list[str], list[str], np.n
 
 
 # -- substitution inference ------------------------------------------------------------
-
-
-@dataclass
-class SentenceLatents:
-    tokens: list[str]
-    roles: list[str]
-    indices: np.ndarray
-
-    def __post_init__(self):
-        if not len(self.tokens) == len(self.roles) == len(self.indices):
-            raise ContractError("tokens, roles, and entry indices must align")
 
 
 def substitute(p1: SentenceLatents, p2: SentenceLatents, op: str, codebook: Codebook,

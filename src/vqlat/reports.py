@@ -1,4 +1,4 @@
-"""Small I/O helpers: strict UTF-8 reads, atomic writes, strict config
+"""Small I/O helpers: strict UTF-8 and JSON reads, atomic writes, strict config
 (de)serialization, canonical JSON and deterministic number formatting."""
 
 from __future__ import annotations
@@ -19,6 +19,15 @@ def read_lines(path) -> list[str]:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise InputError(f"{os.fspath(path)!r} is not UTF-8 text: {exc.reason}") from None
+
+
+def read_json(path, what: str):
+    """The JSON value of a UTF-8 file; malformed JSON is a :class:`ContractError`
+    naming the file as ``what``."""
+    try:
+        return json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{what} {os.fspath(path)!r} is not JSON: {exc}") from None
 
 
 def atomic_write_text(path, text: str) -> None:

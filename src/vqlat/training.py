@@ -90,13 +90,15 @@ class ModelBundle:
         return indices, self.codebook.entries[indices]
 
     def decode_ids(self, indices, max_len: int | None = None) -> list[list[int]]:
-        """Greedy decodes of entry-index rows [L] of any lengths, in input order.
+        """Greedy decodes of entry-index rows [L] of any lengths, in input order, each
+        of at most ``max_len`` tokens and never more than the model's ``max_len``.
         A decode depends only on its row, so each distinct row is decoded once,
         and each length as one stack of the entries it gathers."""
+        budget = min(max_len or self.config.max_len, self.config.max_len)
+
         def generate(stack: np.ndarray) -> list[list[int]]:
             return md.greedy_generate(self.codebook.entries[stack], self.params, self.config,
-                                      max_len or self.config.max_len,
-                                      start_id=self.vocab.START, end_id=self.vocab.END)
+                                      budget, start_id=self.vocab.START, end_id=self.vocab.END)
 
         keys = [tuple(self.codebook.check_indices(row, "decode indices").tolist())
                 for row in indices]

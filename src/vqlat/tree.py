@@ -13,14 +13,13 @@ loaded one are the same kind of value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
 from .quantizer import Codebook, quantize_kmeans
-from .reports import atomic_write_text, canonical_json, read_lines
+from .reports import atomic_write_text, canonical_json, read_json
 
 
 def _gini(counts: np.ndarray, totals) -> np.ndarray:
@@ -232,4 +231,4 @@ def save_tree(path, tree: dict) -> None:
 
 
 def load_tree(path) -> dict:
-    return json.loads("".join(read_lines(path)))
+    return read_json(path, "tree")

@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 
 from vqlat import autodiff as ad
+from vqlat import corpus as cg
 from vqlat import model as md
 from vqlat.autodiff import Tensor
 from vqlat.training import by_length, length_batches, sentences_to_ids, teacher_forced
@@ -336,3 +337,145 @@ def corpus_bleu_counting(candidates: list[list], references: list[list]) -> dict
         precisions = [matched[k] / total[k] if total[k] else 0.0 for k in range(1, n + 1)]
         scores[n] = bp * math.exp(sum(math.log(p) for p in precisions) / n) if all(precisions) else 0.0
     return scores
+
+
+# -- corpus: sentences assembled by hand ------------------------------------------
+#
+# The template builders as parallel token and role lists with a fixed topic,
+# the math generator tracking each expression's variables as it samples them,
+# and the inference pools built one block per operation.
+
+
+def make_is_a_by_hand(subject, obj, negated=False):
+    obj_tokens = [obj] if isinstance(obj, str) else list(obj)
+    tokens = ["a", subject, "is"] + (["not"] if negated else []) + ["a", "kind", "of"] + obj_tokens
+    roles = (["O", "ARG1", "PRED"] + (["NEG"] if negated else []) + ["O", "O", "O"]
+             + ["ARG2"] * len(obj_tokens))
+    return cg.AnnotatedSentence(tokens, roles, "is_a_neg" if negated else "is_a", cg.TOPIC_IS_A)
+
+
+def make_requires_by_hand(subject, resource, purpose):
+    return cg.AnnotatedSentence(["a", subject, "requires", resource, "to", purpose],
+                                ["O", "ARG1", "PRED", "ARG2", "O", "MOD"], "requires",
+                                cg.TOPIC_REQUIRES)
+
+
+def make_causes_by_hand(subject, effect):
+    return cg.AnnotatedSentence(["a", subject, "causes", effect], ["O", "ARG1", "PRED", "ARG2"],
+                                "causes", cg.TOPIC_CAUSE)
+
+
+def make_means_nn_by_hand(subject, obj):
+    return cg.AnnotatedSentence(["a", subject, "means", obj], ["O", "ARG1", "PRED", "ARG2"],
+                                "means_nn", cg.TOPIC_MEAN)
+
+
+def make_means_vv_by_hand(verb, synonym):
+    return cg.AnnotatedSentence([verb, "means", synonym], ["ARG1", "PRED", "ARG2"], "means_vv",
+                                cg.TOPIC_MEAN)
+
+
+def make_if_then_by_hand(event1, verb1, event2, verb2):
+    return cg.AnnotatedSentence(["if", "a", event1, verb1, "then", "a", event2, verb2],
+                                ["O", "O", "ARG1", "PRED", "O", "O", "ARG2", "MOD"], "if_then",
+                                cg.TOPIC_IF_THEN)
+
+
+def make_can_by_hand(subject, verb):
+    return cg.AnnotatedSentence(["a", subject, "can", verb], ["O", "ARG1", "MOD", "PRED"], "can",
+                                cg.TOPIC_CAN)
+
+
+def make_can_conj_by_hand(subject, verb1, verb2):
+    return cg.AnnotatedSentence(["a", subject, "can", verb1, "and", verb2],
+                                ["O", "ARG1", "MOD", "PRED", "O", "PRED"], "can_conj", cg.TOPIC_CAN)
+
+
+BUILDERS_BY_HAND = {
+    "make_is_a": make_is_a_by_hand, "make_requires": make_requires_by_hand,
+    "make_causes": make_causes_by_hand, "make_means_nn": make_means_nn_by_hand,
+    "make_means_vv": make_means_vv_by_hand, "make_if_then": make_if_then_by_hand,
+    "make_can": make_can_by_hand, "make_can_conj": make_can_conj_by_hand,
+}
+
+
+def inference_instances_by_hand(seed: int, count: int, ops) -> list:
+    """Instance pools built one block per operation from the hand-assembled builders."""
+    rng = np.random.default_rng(seed)
+    pools = {}
+    if "arg_sub" in ops:
+        specifics = ["shark"] + [s for s in cg.SPECIFIC_NOUNS if s != "shark"]
+        pools["arg_sub"] = []
+        for s in specifics:
+            middle = cg.SPECIFIC_TO_MIDDLE[s]
+            general = cg.MIDDLE_TO_GENERAL[middle]
+            pools["arg_sub"].append(cg.InferenceInstance(
+                make_is_a_by_hand(s, middle), make_is_a_by_hand(middle, general), "arg_sub",
+                make_is_a_by_hand(s, general)))
+    if "verb_sub" in ops:
+        combos = [(pair, noun) for pair in cg.VERB_SYNONYMS for noun in cg.SPECIFIC_NOUNS]
+        order = rng.permutation(len(combos))
+        pools["verb_sub"] = [cg.InferenceInstance(
+            make_means_vv_by_hand(verb, synonym), make_can_by_hand(noun, verb), "verb_sub",
+            make_can_by_hand(noun, synonym)) for (verb, synonym), noun in (combos[i] for i in order)]
+    if "further_spec" in ops:
+        combos = [(s, r, p, v) for s in cg.SPECIFIC_NOUNS[:8] for r in cg.RESOURCES[:4]
+                  for p in cg.PURPOSES[:3] for v in cg.ABILITY_VERBS[:3]]
+        order = rng.permutation(len(combos))
+        pools["further_spec"] = []
+        for s, r, p, v in (combos[i] for i in order):
+            p2 = make_can_by_hand(s, v)
+            conclusion = cg.AnnotatedSentence(p2.tokens + ["to", p], p2.roles + ["O", "MOD"],
+                                              "can_spec", cg.TOPIC_CAN)
+            pools["further_spec"].append(cg.InferenceInstance(
+                make_requires_by_hand(s, r, p), p2, "further_spec", conclusion))
+    if "conjunction" in ops:
+        combos = [(s, v1, v2) for s in cg.SPECIFIC_NOUNS for v1 in cg.ABILITY_VERBS[:5]
+                  for v2 in cg.ABILITY_VERBS[5:]]
+        order = rng.permutation(len(combos))
+        pools["conjunction"] = [cg.InferenceInstance(
+            make_can_by_hand(s, v1), make_can_by_hand(s, v2), "conjunction",
+            make_can_conj_by_hand(s, v2, v1)) for s, v1, v2 in (combos[i] for i in order)]
+    rounds = itertools.zip_longest(*pools.values())
+    return [inst for round_ in rounds for inst in round_ if inst is not None][:count]
+
+
+def _sample_expression_tracked(rng, variables, n_vars):
+    order = rng.permutation(len(variables))[:n_vars]
+    tokens, used = [], set()
+    for i, vi in enumerate(order):
+        var = variables[int(vi)]
+        used.add(var)
+        if i > 0:
+            tokens.append(cg.MATH_OPERATORS[int(rng.integers(len(cg.MATH_OPERATORS)))])
+        if rng.random() < 0.5:
+            fn = cg.MATH_FUNCTIONS[int(rng.integers(len(cg.MATH_FUNCTIONS)))]
+            tokens.extend([fn, "(", var, ")"])
+        else:
+            tokens.append(var)
+    return tokens, used
+
+
+def generate_math_tracked(seed: int, count: int, split: str) -> list[tuple[list[str], str, set]]:
+    """``(tokens, split, variables)`` of each expression, its variables collected
+    as they are sampled rather than read back from the tokens."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        if split == "EASY":
+            tokens, used = _sample_expression_tracked(rng, cg.TRAIN_VARIABLES, 1)
+        elif split == "LEN":
+            n = int(rng.integers(cg.TRAIN_MAX_VARS + 1, cg.TRAIN_MAX_VARS + 4))
+            tokens, used = _sample_expression_tracked(rng, cg.TRAIN_VARIABLES, n)
+        elif split == "VAR":
+            n = int(rng.integers(cg.TRAIN_MIN_VARS, cg.TRAIN_MAX_VARS + 1))
+            tokens, used = _sample_expression_tracked(rng, cg.NOVEL_VARIABLES, n)
+        else:
+            n = int(rng.integers(cg.TRAIN_MIN_VARS, cg.TRAIN_MAX_VARS + 1))
+            tokens, used = _sample_expression_tracked(rng, cg.TRAIN_VARIABLES, n)
+            if split == "EQ":
+                lhs = cg.TRAIN_VARIABLES[int(rng.integers(len(cg.TRAIN_VARIABLES)))]
+                tokens = [lhs, "="] + tokens
+                used = used | {lhs}
+        out.append((tokens, split, used))
+    return out

@@ -15,13 +15,15 @@ from vqlat import corpus as cg
 from vqlat import geometry as geo
 from vqlat import model as md
 from vqlat import quantizer
-from vqlat.cli import main
+from vqlat import tree as tc
+from vqlat.cli import load_run_config, main
 from vqlat.errors import ContractError
 from vqlat.reports import fmt
 from vqlat.training import ModelBundle, load_bundle, save_bundle, sentences_to_ids
 
 from tests.conftest import train_bundle
-from tests.oracles import (attention_chain, greedy_generate_one, interpolate_per_step, linear_chain,
+from tests.oracles import (BUILDERS_BY_HAND, attention_chain, greedy_generate_one,
+                           inference_instances_by_hand, interpolate_per_step, linear_chain,
                            reconstruct_greedy_all, sq_dists_scan)
 
 
@@ -273,6 +275,27 @@ class TestReports:
         assert outputs[0] == outputs[1]
         assert b"\tMISS\t" in outputs[0][0]
 
+    def test_reconstruct_budget_stops_at_model_max_len(self, tmp_path):
+        """A sentence whose greedy budget, its length plus two, would run past the
+        model's max_len comes back as a MISS cut at max_len tokens."""
+        (tmp_path / "train.txt").write_text("a/O shark/ARG1 causes/PRED damage/ARG2\n"
+                                            "a/O shark/ARG1 can/MOD swim/PRED\n")
+        (tmp_path / "long.txt").write_text("a/O shark/ARG1 causes/PRED damage/ARG2 can/MOD\n")
+        (tmp_path / "run.json").write_text(json.dumps({
+            "seed": 3, "corpus": str(tmp_path / "train.txt"), "out_dir": str(tmp_path / "run"),
+            "model": {"d_model": 8, "n_heads": 2, "max_len": 6},
+            "schedule": {"epochs": 0, "codebook_size": 8}}))
+        assert main(["train", "--config", str(tmp_path / "run.json")]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.ckpt")
+        assert main(["reconstruct", "--checkpoint", ckpt, "--corpus", str(tmp_path / "long.txt"),
+                     "--out", str(tmp_path)]) == 0
+        bundle = load_bundle(ckpt)
+        indices, _ = bundle.quantize_words(["a", "shark", "causes", "damage", "can"])
+        want = greedy_generate_one(bundle.codebook.entries[indices], bundle.params, bundle.config,
+                                   bundle.config.max_len, bundle.vocab.START, bundle.vocab.END)
+        line = (tmp_path / "reconstruct.txt").read_text().splitlines()[-1]
+        assert line == "0\tMISS\t" + " ".join(bundle.vocab.word_of(i) for i in want)
+
     def test_interpolate_source_equals_target_all_ones(self, tmp_path, tiny_ckpt):
         assert main(["interpolate", "--checkpoint", tiny_ckpt["ckpt"],
                      "--corpus", tiny_ckpt["corpus"], "--source", "0", "--target", "0",
@@ -389,14 +412,14 @@ PREMISES = {
 
 
 def run_every_command(ckpt: str, corpus: str, sentence: str, root: Path, capsys):
-    """Exit code, stdout and stderr of each latent-space command, and the bytes of
-    every file they write under ``root``."""
+    """Exit code, stdout and stderr of both corpus generators and each latent-space
+    command, and the bytes of every file they write under ``root``."""
     lengths = [len(s.tokens) for s in cg.load_corpus(corpus)]
     other = next(k for k, n in enumerate(lengths) if n != lengths[0])  # a padded pair
     root.mkdir(parents=True)
     for op, line in PREMISES.items():
         (root / f"premises_{op}.txt").write_text(line + "\n")
-    commands = [
+    latent_commands = [
         ["reconstruct", "--corpus", corpus, "--out", str(root / "reconstruct")],
         ["interpolate", "--corpus", corpus, "--random", "3", "--out", str(root / "interpolate")],
         ["interpolate", "--corpus", corpus, "--source", "0", "--target", str(other),
@@ -410,9 +433,12 @@ def run_every_command(ckpt: str, corpus: str, sentence: str, root: Path, capsys)
          for op in cg.INFERENCE_OPS] + [
         ["infer", "--op", op, "--premises", str(root / f"premises_{op}.txt"),
          "--out", str(root / f"premises_{op}")] for op in PREMISES]
+    commands = [["gen-corpus", "--kind", kind, "--seed", "3", "--count", "60",
+                 "--out", str(root / f"gen_{kind}")] for kind in ("grammar", "math")]
+    commands += [argv + ["--checkpoint", ckpt] for argv in latent_commands]
     streams = []
     for argv in commands:
-        code = main(argv + ["--checkpoint", ckpt])
+        code = main(argv)
         captured = capsys.readouterr()
         streams.append((argv[0], code, captured.out, captured.err))
     files = {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -452,6 +478,26 @@ def test_outputs_equal_one_sequence_decodes(tiny_ckpt, tmp_path, capsys, monkeyp
 
     assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys,
                              lambda: monkeypatch.setattr(ModelBundle, "decode_ids", one_at_a_time))
+
+
+def test_outputs_equal_hand_assembled_sentences(tiny_ckpt, tmp_path, capsys, monkeypatch):
+    """Templates written as corpus lines change no output: the hand-assembled
+    token and role lists, and one instance-pool block per operation, give the
+    same bytes."""
+    def by_hand():
+        for name, build in BUILDERS_BY_HAND.items():
+            monkeypatch.setattr(cg, name, build)
+        monkeypatch.setattr(cg, "generate_inference_instances", inference_instances_by_hand)
+
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys, by_hand)
+
+
+def test_malformed_json_is_contract_error_naming_the_file(tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"seed": 1,')
+    for load in (tc.load_tree, lambda path: load_run_config(str(path), {})):
+        with pytest.raises(ContractError, match=r"broken\.json' is not JSON"):
+            load(broken)
 
 
 def test_outputs_equal_chained_linear_and_attention(tiny_ckpt, tmp_path, capsys, monkeypatch):

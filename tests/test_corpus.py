@@ -1,11 +1,14 @@
 """Grammar, math-split, and vocabulary contracts."""
 
+import itertools
+
 import pytest
 
 from vqlat import corpus as cg
 from vqlat.errors import ContractError, InputError
 
 from tests.conftest import inference_fixture_corpus
+from tests.oracles import BUILDERS_BY_HAND, generate_math_tracked, inference_instances_by_hand
 
 
 class TestGrammar:
@@ -153,6 +156,56 @@ class TestMathSplits:
             cg.generate_math(0, 10, "SWAP")
 
 
+# Every argument each template builder takes anywhere in the grammar, and more.
+VERBS = cg.ABILITY_VERBS + tuple(w for pair in cg.VERB_SYNONYMS for w in pair)
+BUILDER_ARGS = {
+    "make_is_a": list(itertools.product(
+        cg.SPECIFIC_NOUNS + cg.MIDDLE_NOUNS,
+        cg.MIDDLE_NOUNS + tuple(cg.MIDDLE_TO_GENERAL.values()), (False, True))),
+    "make_requires": list(itertools.product(cg.SPECIFIC_NOUNS, cg.RESOURCES, cg.PURPOSES)),
+    "make_causes": list(itertools.product(cg.EVENTS, cg.EFFECTS)),
+    "make_means_nn": list(itertools.product(cg.EVENTS, cg.EFFECTS)),
+    "make_means_vv": [p for pair in cg.VERB_SYNONYMS for p in (pair, pair[::-1])],
+    "make_if_then": list(itertools.product(cg.EVENTS, cg.INTRANSITIVES, cg.EVENTS,
+                                           cg.INTRANSITIVES)),
+    "make_can": list(itertools.product(cg.SPECIFIC_NOUNS, VERBS)),
+    "make_can_conj": list(itertools.product(cg.SPECIFIC_NOUNS, cg.ABILITY_VERBS, cg.ABILITY_VERBS)),
+}
+OP_SUBSETS = [ops for r in range(1, len(cg.INFERENCE_OPS) + 1)
+              for ops in itertools.combinations(cg.INFERENCE_OPS, r)]
+
+
+class TestOneDefinition:
+    """Templates parsed from corpus lines, the one variable rule and the one
+    instance-pool loop equal the hand-assembled code they replace, field for field."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS_BY_HAND))
+    def test_builder_equals_hand_assembled(self, name):
+        build, by_hand = getattr(cg, name), BUILDERS_BY_HAND[name]
+        for args in BUILDER_ARGS[name]:
+            assert build(*args) == by_hand(*args), args
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generate_sentences_equals_hand_assembled(self, seed, monkeypatch):
+        shipped = cg.generate_sentences(seed, 600)
+        for name, by_hand in BUILDERS_BY_HAND.items():
+            monkeypatch.setattr(cg, name, by_hand)
+        assert shipped == cg.generate_sentences(seed, 600)
+
+    @pytest.mark.parametrize("split", cg.MATH_SPLITS)
+    def test_math_variables_equal_tracked(self, split):
+        for seed in range(4):
+            shipped = [(e.tokens, e.split_tag, e.variables)
+                       for e in cg.generate_math(seed, 1000, split)]
+            assert shipped == generate_math_tracked(seed, 1000, split)
+
+    @pytest.mark.parametrize("ops", OP_SUBSETS, ids="+".join)
+    def test_inference_instances_equal_one_block_per_op(self, ops):
+        for seed in (0, 7):
+            by_hand = inference_instances_by_hand(seed, 10**6, ops)
+            assert cg.generate_inference_instances(seed, len(by_hand), ops=ops) == by_hand
+
+
 class TestTokenizer:
     def test_specials_reserved(self):
         vocab = cg.build_vocab([["x"]])
@@ -185,6 +238,20 @@ class TestFileFormats:
         path.write_bytes(b"a/O \xff\xfe/ARG1 is/PRED\n")
         with pytest.raises(InputError, match="latin1.txt"):
             load(path)
+
+    def test_load_tokens_reads_either_format(self, tmp_path):
+        sentences, exprs = cg.generate_sentences(12, 30), cg.generate_math(12, 30, "EQ")
+        cg.save_corpus(tmp_path / "grammar.txt", sentences)
+        cg.save_math_corpus(tmp_path / "math.txt", exprs)
+        (tmp_path / "bare.txt").write_text("".join(e.text() + "\n" for e in exprs))
+        assert cg.load_tokens(tmp_path / "grammar.txt") == [s.tokens for s in sentences]
+        assert cg.load_tokens(tmp_path / "math.txt") == [e.tokens for e in exprs]
+        assert cg.load_tokens(tmp_path / "bare.txt") == [e.tokens for e in exprs]
+
+    def test_load_tokens_of_blank_file_is_contract_error(self, tmp_path):
+        (tmp_path / "blank.txt").write_text("\n  \n")
+        with pytest.raises(ContractError, match="holds no sentences"):
+            cg.load_tokens(tmp_path / "blank.txt")
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -350,14 +350,15 @@ class TestLatentArithmetic:
 
 class TestDisentanglementStats:
     def test_single_center_zero_distances(self, cb):
-        occ = [(["a", "shark", "is"], ["O", "ARG1", "PRED"], np.array([0, 1, 2])),
-               (["a", "crab", "is"], ["O", "ARG1", "PRED"], np.array([0, 3, 2]))]
+        occ = [geo.SentenceLatents(["a", "shark", "is"], ["O", "ARG1", "PRED"], np.array([0, 1, 2])),
+               geo.SentenceLatents(["a", "crab", "is"], ["O", "ARG1", "PRED"], np.array([0, 3, 2]))]
         stats = {s.label: s for s in geo.disentanglement_stats(occ, cb)}
         assert stats["PRED-is"].num_centers == 1
         assert stats["PRED-is"].avg_dis == 0.0
 
     def test_two_centers_distance(self, cb):
-        occ = [(["is"], ["PRED"], np.array([0])), (["is"], ["PRED"], np.array([4]))]
+        occ = [geo.SentenceLatents(["is"], ["PRED"], np.array([0])),
+               geo.SentenceLatents(["is"], ["PRED"], np.array([4]))]
         stats = geo.disentanglement_stats(occ, cb)[0]
         d = float(np.linalg.norm(cb.entries[0].astype(np.float64) - cb.entries[4]))
         assert stats.num_centers == 2
@@ -366,14 +367,14 @@ class TestDisentanglementStats:
         assert stats.min_dis == pytest.approx(d)
 
     def test_ordering_invariant(self, cb):
-        occ = [(["is"], ["PRED"], np.array([0])),
-               (["is"], ["PRED"], np.array([3])),
-               (["is"], ["PRED"], np.array([5]))]
+        occ = [geo.SentenceLatents(["is"], ["PRED"], np.array([0])),
+               geo.SentenceLatents(["is"], ["PRED"], np.array([3])),
+               geo.SentenceLatents(["is"], ["PRED"], np.array([5]))]
         s = geo.disentanglement_stats(occ, cb)[0]
         assert s.min_dis <= s.avg_dis <= s.max_dis
 
     def test_o_role_excluded(self, cb):
-        occ = [(["a"], ["O"], np.array([0]))]
+        occ = [geo.SentenceLatents(["a"], ["O"], np.array([0]))]
         assert geo.disentanglement_stats(occ, cb) == []
 
 

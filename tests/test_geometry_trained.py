@@ -34,7 +34,7 @@ class TestDisentanglementOnTrainedModel:
         frequency: dict[str, int] = {}
         for sentence in fixture["sentences"]:
             indices, _ = bundle.quantize_words(sentence.tokens)
-            occurrences.append((sentence.tokens, sentence.roles, indices))
+            occurrences.append(geo.SentenceLatents(sentence.tokens, sentence.roles, indices))
             for tok, role in zip(sentence.tokens, sentence.roles):
                 if role != "O":
                     frequency[f"{role}-{tok}"] = frequency.get(f"{role}-{tok}", 0) + 1
