@@ -265,6 +265,8 @@ def _in_region(kind: str, value: str, tokens: list[str]) -> bool:
 
 
 def cmd_tree(args) -> int:
+    if args.moves < 0:
+        raise ContractError(f"--moves must be non-negative, got {args.moves}")
     bundle = load_bundle(args.checkpoint)
     sentences = cg.load_corpus(args.corpus)
     kind, _, values = args.region.partition(":")

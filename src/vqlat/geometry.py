@@ -93,12 +93,86 @@ def dump_path(times: Sequence[float], steps: np.ndarray, decoded: Sequence[Seque
 # -- word mover's distance -------------------------------------------------------
 
 
+def transport_plan(cost: np.ndarray) -> np.ndarray:
+    """Exact minimum-cost integer plan ``[la, lb]`` for a finite ground ``cost``:
+    every row ships ``lcm(la, lb) / la`` units and every column receives
+    ``lcm(la, lb) / lb``.
+
+    Successive shortest paths with node potentials (Ahuja, Magnanti & Orlin
+    1993, ch. 9).  The potentials start at the column minima, less each row's
+    least remainder, and the edges of zero reduced cost get the first units.
+    Each augmentation then runs Dijkstra on reduced costs from every row with
+    units left to the nearest column still short of units: rows reach columns
+    over any edge, columns reach rows over the edges that carry units.  Every
+    augmentation moves at least one unit, so at most ``lcm(la, lb)`` of them
+    run.  Bags are a few dozen rows, so this works on python lists, which beat
+    numpy's per-call cost at that size.
+    """
+    if not np.isfinite(cost).all():  # a NaN would leave Dijkstra without a path
+        raise ContractError("transport costs must be finite: a bag holds NaN or inf, "
+                            "or its distances overflow")
+    la, lb = cost.shape
+    size = math.lcm(la, lb)
+    rows = cost.tolist()
+    excess, deficit = [size // la] * la, [size // lb] * lb
+    plan = [[0] * lb for _ in range(la)]
+    col_pot, row_pot = [min(col) for col in zip(*rows)], []  # cost + row - col >= 0
+    for i, costs in enumerate(rows):
+        reduced = [c - pot for c, pot in zip(costs, col_pot)]
+        least = min(reduced)
+        row_pot.append(-least)
+        for j, r in enumerate(reduced):
+            if r == least:
+                plan[i][j] = amount = min(excess[i], deficit[j])
+                excess[i] -= amount
+                deficit[j] -= amount
+    while any(excess):
+        row_dist = [0.0 if units else math.inf for units in excess]
+        row_from = [-1] * la  # the column whose shipped units reached each row
+        col_dist, col_from = [math.inf] * lb, [-1] * lb  # and the row reaching each column
+        unsettled = list(range(lb))
+        scan = [i for i in range(la) if excess[i]]
+        while True:
+            for i in scan:
+                base, costs = row_dist[i] + row_pot[i], rows[i]
+                for j in unsettled:
+                    dist = base + costs[j] - col_pot[j]
+                    if dist < col_dist[j]:
+                        col_dist[j], col_from[j] = dist, i
+            j = min(unsettled, key=col_dist.__getitem__)
+            if deficit[j]:
+                break
+            unsettled.remove(j)
+            scan = [i for i in range(la) if plan[i][j] and row_dist[i] == math.inf]
+            for i in scan:
+                row_dist[i], row_from[i] = col_dist[j], j
+        reach = col_dist[j]
+        row_pot = [pot + min(dist, reach) for pot, dist in zip(row_pot, row_dist)]
+        col_pot = [pot + min(dist, reach) for pot, dist in zip(col_pot, col_dist)]
+
+        amount, col, path = deficit[j], j, []
+        while True:  # back from column j to a row with units left
+            i = col_from[col]
+            path.append((i, col, 1))
+            col = row_from[i]
+            if col < 0:
+                break
+            path.append((i, col, -1))
+            amount = min(amount, plan[i][col])
+        amount = min(amount, excess[i])
+        for r, c, sign in path:
+            plan[r][c] += sign * amount
+        excess[i] -= amount
+        deficit[j] -= amount
+    return np.array(plan, dtype=np.int64)
+
+
 def wmd(a: np.ndarray, b: np.ndarray) -> float:
     """Exact optimal-transport cost between two uniform bags of embeddings.
 
     Each side distributes unit mass uniformly over its rows; ground cost is
-    Euclidean distance.  Both sides are expanded to lcm-many equal atoms,
-    which reduces the problem to an assignment solved exactly.
+    Euclidean distance.  :func:`transport_plan` solves the ``[la, lb]``
+    transport problem in integer units of ``1 / lcm(la, lb)``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -106,16 +180,8 @@ def wmd(a: np.ndarray, b: np.ndarray) -> float:
         raise ContractError("wmd: empty sequence")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"wmd: embedding widths {a.shape[1]} and {b.shape[1]} disagree")
-    from scipy.optimize import linear_sum_assignment  # on first use: scipy is slow to import
-
-    la, lb = a.shape[0], b.shape[0]
-    base_cost = _euclidean_to_entries(a, b)
-
-    size = math.lcm(la, lb)
-    rep_a, rep_b = size // la, size // lb
-    expanded = np.repeat(np.repeat(base_cost, rep_a, axis=0), rep_b, axis=1)
-    rows, cols = linear_sum_assignment(expanded)
-    return float(expanded[rows, cols].sum() / size)
+    cost = _euclidean_to_entries(a, b)
+    return float(np.repeat(cost.ravel(), transport_plan(cost).ravel()).mean())
 
 
 def interpolation_smoothness(decoded: Sequence[Sequence],

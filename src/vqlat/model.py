@@ -16,6 +16,7 @@ id, and keeps the full-prefix ``max_len`` guard.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -129,14 +130,19 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
                         for name, (shape, kind) in param_layout(config).items()})
 
 
+@functools.lru_cache(maxsize=1024)
 def sinusoidal_positions(length: int, d_model: int, dtype=np.float32, start: int = 0) -> np.ndarray:
+    """Position table [length, d_model] from position ``start``, built once per
+    argument tuple; the shared array is read-only."""
     pos = np.arange(start, start + length)[:, None].astype(np.float64)
     dim = np.arange(d_model // 2)[None, :].astype(np.float64)
     angle = pos / np.power(10_000.0, 2.0 * dim / d_model)
     enc = np.zeros((length, d_model), dtype=np.float64)
     enc[:, 0::2] = np.sin(angle)
     enc[:, 1::2] = np.cos(angle)
-    return enc.astype(dtype)
+    enc = enc.astype(dtype)
+    enc.flags.writeable = False
+    return enc
 
 
 def _multi_head_attention(params: ModelParams, prefix: str, config: ModelConfig,

@@ -179,6 +179,21 @@ def min_permutation_cost(a: np.ndarray, b: np.ndarray) -> float:
     return best / n
 
 
+def wmd_by_assignment(a: np.ndarray, b: np.ndarray) -> float:
+    """Optimal-transport cost between uniform embedding bags as an assignment:
+    both sides expanded to ``lcm(la, lb)`` equal atoms, solved by scipy's
+    ``linear_sum_assignment``.  The expanded matrix holds ``lcm(la, lb)**2``
+    floats, so keep the bags small."""
+    from scipy.optimize import linear_sum_assignment
+
+    la, lb = a.shape[0], b.shape[0]
+    base_cost = np.sqrt(sq_dists_scan(a.astype(np.float64), b.astype(np.float64)))
+    size = math.lcm(la, lb)
+    expanded = np.repeat(np.repeat(base_cost, size // la, axis=0), size // lb, axis=1)
+    rows, cols = linear_sum_assignment(expanded)
+    return float(expanded[rows, cols].sum() / size)
+
+
 def transport_cost_lp(a: np.ndarray, b: np.ndarray) -> float:
     """Optimal-transport cost between uniform embedding bags of any lengths.
 

@@ -24,7 +24,7 @@ from vqlat.training import ModelBundle, load_bundle, save_bundle, sentences_to_i
 from tests.conftest import train_bundle
 from tests.oracles import (BUILDERS_BY_HAND, attention_chain, greedy_generate_one,
                            inference_instances_by_hand, interpolate_per_step, linear_chain,
-                           reconstruct_greedy_all, sq_dists_scan)
+                           reconstruct_greedy_all, sq_dists_scan, wmd_by_assignment)
 
 
 @pytest.fixture(scope="module")
@@ -203,12 +203,36 @@ def test_non_utf8_run_config_exits_three_and_names_it(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tiny_ckpt, tmp_path):
+    """The runtime is numpy only: no source file imports scipy, and a fresh
+    interpreter that runs every latent-space command has not loaded it."""
     src = Path(cg.__file__).parents[1]
-    probe = "import sys, vqlat.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "import scipy" not in text and "from scipy" not in text, path
+    ckpt, corpus = tiny_ckpt["ckpt"], tiny_ckpt["corpus"]
+    sentence = tiny_ckpt["sentences"][0].text()
+    commands = [
+        ["interpolate", "--corpus", corpus, "--random", "3", "--out", str(tmp_path / "interpolate")],
+        ["traverse", "--sentence", sentence, "--position", "1", "--n", "3"],
+        ["arith", "--a", sentence, "--b", sentence],
+        ["disentangle", "--corpus", corpus],
+        ["tree", "--corpus", corpus, "--region", "pred:causes,means", "--min-leaf", "2",
+         "--out", str(tmp_path / "tree")],
+        ["infer", "--op", "arg_sub", "--generate", "4"],
+        ["reconstruct", "--corpus", corpus],
+    ]
+    probe = ("import json, sys\n"
+             "from vqlat.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    argv = json.dumps([command + ["--checkpoint", ckpt] for command in commands])
+    done = subprocess.run([sys.executable, "-c", probe, argv],
+                          env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "False"
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert loaded == []
 
 
 @pytest.mark.parametrize("name,value", [("VQL_EPOCHS", "two"), ("VQL_LR", "fast"),
@@ -492,6 +516,13 @@ def test_outputs_equal_hand_assembled_sentences(tiny_ckpt, tmp_path, capsys, mon
     assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys, by_hand)
 
 
+def test_outputs_equal_assignment_transport(tiny_ckpt, tmp_path, capsys, monkeypatch):
+    """The in-package transport solver changes no output: scipy's assignment over
+    the lcm expansion, which it replaces, gives the same bytes."""
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys,
+                             lambda: monkeypatch.setattr(geo, "wmd", wmd_by_assignment))
+
+
 def test_malformed_json_is_contract_error_naming_the_file(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text('{"seed": 1,')
@@ -576,6 +607,16 @@ class TestExitCodes:
                      "--region", region, *size, "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "at least 1" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("moves", ["-1", "-30"])
+    def test_tree_negative_moves_is_three(self, tiny_ckpt, tmp_path, capsys, moves):
+        out = tmp_path / "out"
+        assert main(["tree", "--checkpoint", tiny_ckpt["ckpt"], "--corpus", tiny_ckpt["corpus"],
+                     "--region", "pred:causes,means", "--min-leaf", "2", "--moves", moves,
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --moves must be non-negative, got {moves}\n"
         assert captured.out == "" and not out.exists()
 
     def test_truncated_checkpoint_is_three(self, tmp_path, capsys):

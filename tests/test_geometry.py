@@ -4,6 +4,7 @@ Model-dependent behaviour (trained fixtures) lives in the training and
 acceptance suites; here the codebooks and latents are synthetic.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,8 @@ from vqlat.errors import ContractError, NoAnchorError
 from vqlat.quantizer import Codebook, QuantizerConfig, quantize_kmeans
 from vqlat.training import ModelBundle
 
-from tests.oracles import interpolate_per_step, min_permutation_cost, transport_cost_lp
+from tests.oracles import (interpolate_per_step, min_permutation_cost, sq_dists_scan,
+                           transport_cost_lp, wmd_by_assignment)
 
 
 def make_codebook(entries):
@@ -262,6 +264,96 @@ class TestWmd:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             geo.wmd(np.zeros((0, 2)), np.zeros((1, 2)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_bag_rejected(self, bad, side):
+        """A NaN or infinite row, or one whose distances overflow, is a contract
+        error before any shortest path runs on it."""
+        a, b = np.zeros((3, 2)), np.ones((4, 2))
+        (a if side == "a" else b)[1, 0] = bad
+        with pytest.raises(ContractError, match="finite"):
+            geo.wmd(a, b)
+
+
+@st.composite
+def bag_pairs(draw):
+    """Two embedding bags of 1-12 rows: free, with duplicate rows planted, sharing
+    rows (exact-zero distances), or identical.  Half use integer coordinates, so
+    equal distances and tied plans are common."""
+    la, lb, width = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a, b = (rng.integers(-2, 3, size=(n, width)).astype(np.float64) for n in (la, lb))
+    else:
+        a, b = rng.standard_normal((la, width)), rng.standard_normal((lb, width))
+    kind = draw(st.sampled_from(["free", "duplicates", "shared", "identical"]))
+    if kind == "duplicates":
+        a, b = a[rng.integers(la, size=la)], b[rng.integers(lb, size=lb)]
+    elif kind == "shared":
+        shared = min(la, lb) // 2 + 1
+        b[rng.permutation(lb)[:shared]] = a[rng.permutation(la)[:shared]]
+    elif kind == "identical":
+        b = a[rng.permutation(la)]
+    return a, b
+
+
+class TestTransportPlan:
+    """``wmd``'s in-package solver against the assignment on the lcm expansion and
+    the transportation LP, and the plan it returns."""
+
+    def check(self, a, b):
+        want = wmd_by_assignment(a, b)
+        got = geo.wmd(a, b)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+        assert got == pytest.approx(transport_cost_lp(a, b), abs=1e-9)
+        cost = np.sqrt(sq_dists_scan(a, b))
+        plan = geo.transport_plan(cost)
+        size = math.lcm(len(a), len(b))
+        assert plan.dtype.kind == "i" and (plan >= 0).all()
+        assert (plan.sum(axis=1) == size // len(a)).all()
+        assert (plan.sum(axis=0) == size // len(b)).all()
+        assert float((plan * cost).sum()) / size == pytest.approx(got, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=120, deadline=None)
+    @given(bag_pairs())
+    def test_matches_oracles(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_matches_oracles_at_16_by_15(self, seed, duplicates):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((16, 8)), rng.standard_normal((15, 8))
+        if duplicates:
+            a, b = a[rng.integers(4, size=16)], b[rng.integers(5, size=15)]
+        self.check(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        cost = np.ones((2, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ContractError, match="finite"):
+            geo.transport_plan(cost)
+
+    def test_97_by_100_rows_in_small_memory(self):
+        """Rows drawn from twelve points on a line, as sentences draw from a small
+        vocabulary.  In one dimension the monotone coupling is optimal, which gives
+        the exact cost.  The lcm expansion would be a 9,700 x 9,700 float64 matrix
+        (~750 MB); the solver's peak stays under 4 MB."""
+        rng = np.random.default_rng(8)
+        points = rng.standard_normal(12)
+        a, b = points[rng.integers(12, size=(97, 1))], points[rng.integers(12, size=(100, 1))]
+        tracemalloc.start()
+        try:
+            got = geo.wmd(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        monotone = np.abs(np.repeat(np.sort(a[:, 0]), 100) - np.repeat(np.sort(b[:, 0]), 97))
+        assert got == pytest.approx(monotone.mean(), rel=1e-12)
 
 
 def smoothness(decoded):

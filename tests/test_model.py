@@ -43,6 +43,18 @@ def encode_one(ids, params, config):
     return md.encode_batch(np.asarray([ids], dtype=np.int64), params, config)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_position_table_is_built_once_and_read_only(dtype):
+    table = md.sinusoidal_positions(7, 16, dtype, 3)
+    assert table is md.sinusoidal_positions(7, 16, dtype, 3)
+    assert table.dtype == dtype and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    want = [[f(p / 10_000.0 ** (2 * (i // 2) / 16))
+             for i, f in zip(range(16), [np.sin, np.cos] * 8)] for p in range(3, 10)]
+    np.testing.assert_allclose(table, np.array(want), rtol=0, atol=1e-6)
+
+
 class TestEncode:
     def test_single_token_shape(self, small_setup):
         config, params = small_setup

@@ -370,6 +370,29 @@ class TestVerifiedRows:
         assert (logits.argmax(axis=-1) == targets).all()  # the tie goes to the target
         assert training._verified(logits, targets).tolist() == [False]
 
+    # derandomized: the top of the range (d_model 128, weights x8) comes within
+    # ~1.1x of the bound, so a fresh draw per run could make the gate flaky
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.sampled_from([32, 64, 128]), st.sampled_from([2, 4, 8]), st.integers(1, 8),
+           st.integers(3, 15), st.integers(0, 2**32 - 1))
+    def test_cached_steps_stay_well_inside_the_margin(self, d_model, heads, scale, length, seed):
+        """The margin covers the rounding gap between a cached greedy step and the
+        teacher-forced pass: on random-weight float32 models (weight matrices drawn
+        at ×1 to ×8 the default scale) each cached step's logits stay within
+        ``VERIFY_MARGIN / 10`` of the teacher-forced ones, relative to
+        ``max(1, |logit|)``."""
+        config = ModelConfig(vocab_size=24, d_model=d_model, n_heads=heads, max_len=16)
+        rng = np.random.default_rng(seed)
+        params = md.init_params(config, rng, init_scale=0.02 * scale)
+        latents = ad.Tensor(rng.standard_normal((3, length, d_model)).astype(np.float32))
+        prefix = np.concatenate([np.full((3, 1), 1), rng.integers(3, 24, size=(3, length))], axis=1)
+        forced = md.decode_batch(latents, prefix, params, config).data
+        cache: dict = {}
+        for k in range(length + 1):
+            step = md.decode_batch(latents, prefix[:, k:k + 1], params, config, cache).data[:, 0]
+            gap = np.abs(step - forced[:, k]) / np.maximum(1.0, np.abs(forced[:, k]))
+            assert gap.max() <= training.VERIFY_MARGIN / 10
+
     @pytest.mark.parametrize("position", range(4))  # the last one is END's
     def test_wrong_argmax_at_any_position_is_not(self, position):
         logits, targets = self.logits([[1, 4, 0, 2], [3, 3, 1, 2]], gap=1.0)
