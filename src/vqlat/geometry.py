@@ -180,7 +180,8 @@ def wmd(a: np.ndarray, b: np.ndarray) -> float:
         raise ContractError("wmd: empty sequence")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"wmd: embedding widths {a.shape[1]} and {b.shape[1]} disagree")
-    cost = _euclidean_to_entries(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # transport_plan refuses what overflows
+        cost = _euclidean_to_entries(a, b)
     return float(np.repeat(cost.ravel(), transport_plan(cost).ravel()).mean())
 
 

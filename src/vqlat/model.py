@@ -7,20 +7,17 @@ uses them directly (they are never concatenated into the token stream).
 Positions are sinusoidal; blocks are pre-norm with a final layer norm on each
 stack.  Every projection is one ``ad.linear`` node and every attention core one
 ``ad.attention`` node, which alone splits the [B, L, d] streams into heads.
-:func:`param_layout` names each parameter's shape and init kind, so a
+:func:`param_layout` names each parameter's shape and init kind, so a loaded
 checkpoint is checked without drawing weights.  :func:`greedy_generate` steps
 the decoder over a key/value cache (the latents' cross-attention keys and
 values are projected once per stack), drops each row once it emits the end
-id, and keeps the full-prefix ``max_len`` guard.
+id, and keeps the full-prefix ``max_len`` guard.  The module holds no I/O: the
+checkpoint format belongs to :mod:`vqlat.training`.
 """
 
 from __future__ import annotations
 
 import functools
-import io
-import json
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, InputError, ShapeError
-from .reports import DictCodec, atomic_write_bytes, canonical_json
+from .reports import DictCodec
 
-CHECKPOINT_MAGIC = b"VQL1"
 NEG_INF = -1e9
 
 
@@ -264,85 +260,3 @@ def greedy_generate(latents, params: ModelParams, config: ModelConfig,
             cache = {name: [a[going] for a in kv] for name, kv in cache.items()}
         last = chosen[going][:, None]
     return out
-
-
-# -- checkpoint format ---------------------------------------------------------
-#
-# magic "VQL1" | u32 config byte length | config JSON (UTF-8) | records...
-# record: u32 name length | name UTF-8 | u32 rank | u32 dims... | f32 data (LE)
-
-
-def write_checkpoint_bytes(config_blob: dict, tensors: dict[str, np.ndarray]) -> bytes:
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    config_bytes = canonical_json(config_blob).encode("utf-8")
-    buf.write(struct.pack("<I", len(config_bytes)))
-    buf.write(config_bytes)
-    for name, array in tensors.items():
-        name_bytes = name.encode("utf-8")
-        arr = np.ascontiguousarray(array, dtype="<f4")
-        buf.write(struct.pack("<I", len(name_bytes)))
-        buf.write(name_bytes)
-        buf.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(arr.tobytes())
-    return buf.getvalue()
-
-
-def read_checkpoint_bytes(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    buf = io.BytesIO(blob)
-    magic = buf.read(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise InputError(f"bad checkpoint magic {magic!r}")
-
-    def read_u32():
-        raw = buf.read(4)
-        if len(raw) != 4:
-            raise InputError("truncated checkpoint")
-        return struct.unpack("<I", raw)[0]
-
-    def read_text(length, what):
-        raw = buf.read(length)
-        if len(raw) != length:
-            raise InputError(f"truncated checkpoint {what}")
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"checkpoint {what} is not UTF-8") from exc
-
-    try:
-        config_blob = json.loads(read_text(read_u32(), "config"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"checkpoint config is not JSON: {exc}") from exc
-    if not isinstance(config_blob, dict):
-        raise InputError("checkpoint config is not a JSON object")
-    tensors: dict[str, np.ndarray] = {}
-    while True:
-        head = buf.read(4)
-        if not head:
-            break
-        if len(head) != 4:
-            raise InputError("truncated checkpoint record")
-        name = read_text(struct.unpack("<I", head)[0], "tensor name")
-        rank = read_u32()
-        shape = tuple(read_u32() for _ in range(rank))
-        count = math.prod(shape)
-        # a corrupt shape can ask for more bytes than an index can hold
-        data = buf.read(min(count * 4, len(blob)))
-        if len(data) != count * 4:
-            raise InputError(f"truncated data for tensor {name!r}")
-        try:
-            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
-        except ValueError as exc:  # a zero dim beside absurd ones, or rank above numpy's
-            raise InputError(f"tensor {name!r} has an unusable shape: {exc}") from exc
-    return config_blob, tensors
-
-
-def save_checkpoint(path, config_blob: dict, tensors: dict[str, np.ndarray]) -> None:
-    atomic_write_bytes(path, write_checkpoint_bytes(config_blob, tensors))
-
-
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        return read_checkpoint_bytes(fh.read())

@@ -21,13 +21,23 @@ def read_lines(path) -> list[str]:
         raise InputError(f"{os.fspath(path)!r} is not UTF-8 text: {exc.reason}") from None
 
 
-def read_json(path, what: str):
-    """The JSON value of a UTF-8 file; malformed JSON is a :class:`ContractError`
-    naming the file as ``what``."""
+def decode_json(raw, what: str):
+    """The JSON value of UTF-8 bytes (or any bytes-like object); bytes that do not
+    decode are an :class:`InputError` and malformed JSON a :class:`ContractError`,
+    each naming the bytes as ``what``."""
     try:
-        return json.loads("".join(read_lines(path)))
+        return json.loads(str(raw, "utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
-        raise ContractError(f"{what} {os.fspath(path)!r} is not JSON: {exc}") from None
+        raise ContractError(f"{what} is not JSON: {exc}") from None
+
+
+def read_json(path, what: str):
+    """The JSON value of a UTF-8 file, through :func:`decode_json` with the file
+    named as ``what``."""
+    with open(path, "rb") as fh:
+        return decode_json(fh.read(), f"{what} {os.fspath(path)!r}")
 
 
 def atomic_write_text(path, text: str) -> None:

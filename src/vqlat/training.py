@@ -2,12 +2,16 @@
 
 Sentences are batched by length so batches never need padding.  Each step runs
 the teacher-forced forward that token accuracy also scores, folds the batch
-into the codebook's moving averages, and applies one Adam update.
+into the codebook's moving averages, and applies one Adam update.  The bundle
+persists as one VQL1 checkpoint: this module frames it, reads it through one
+bounds-checked cursor, and checks its header and tensors against the layout.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +20,9 @@ from . import autodiff as ad
 from . import model as md
 from .autodiff import Adam, Tensor
 from .corpus import Vocabulary
-from .errors import ContractError
+from .errors import ContractError, InputError
 from .quantizer import Codebook, QuantizerConfig, ema_update, quantize_kmeans, straight_through, vq_loss
-from .reports import DictCodec
+from .reports import DictCodec, atomic_write_bytes, canonical_json, decode_json
 
 
 @dataclass
@@ -254,23 +258,25 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
         total_commit = 0.0
         total_tokens = 0
         correct_tokens = 0
-        for rows in length_batches(ids, schedule.batch_size, batch_rng):
-            enc_out, indices, quantized, logits, targets = teacher_forced(bundle, rows)
-            ema_update(codebook, enc_out.data.reshape(-1, config.d_model).astype(np.float64),
-                       indices)
-            flat_logits = ad.reshape(logits, (targets.size, config.vocab_size))
-            ce = ad.cross_entropy_with_logits(flat_logits, targets.reshape(-1))
-            loss = vq_loss(enc_out, quantized, ce, qconfig.commitment_beta, reduction="mean")
+        # a diverging step overflows to inf and NaN quietly: the loss check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in length_batches(ids, schedule.batch_size, batch_rng):
+                enc_out, indices, quantized, logits, targets = teacher_forced(bundle, rows)
+                ema_update(codebook, enc_out.data.reshape(-1, config.d_model).astype(np.float64),
+                           indices)
+                flat_logits = ad.reshape(logits, (targets.size, config.vocab_size))
+                ce = ad.cross_entropy_with_logits(flat_logits, targets.reshape(-1))
+                loss = vq_loss(enc_out, quantized, ce, qconfig.commitment_beta, reduction="mean")
 
-            optimizer.zero_grad()
-            ad.backward(loss)
-            optimizer.step()
+                optimizer.zero_grad()
+                ad.backward(loss)
+                optimizer.step()
 
-            n_tok = targets.size
-            total_ce += float(ce.data) * n_tok
-            total_commit += (float(loss.data) - float(ce.data)) * n_tok
-            total_tokens += n_tok
-            correct_tokens += int((logits.data.argmax(axis=-1) == targets).sum())
+                n_tok = targets.size
+                total_ce += float(ce.data) * n_tok
+                total_commit += (float(loss.data) - float(ce.data)) * n_tok
+                total_tokens += n_tok
+                correct_tokens += int((logits.data.argmax(axis=-1) == targets).sum())
 
         row = {"epoch": epoch + 1,
                "ce": total_ce / total_tokens,
@@ -296,6 +302,70 @@ def token_accuracy(bundle: ModelBundle, token_lists: list[list[str]]) -> float:
 
 
 # -- persistence -----------------------------------------------------------------
+#
+# The VQL1 container: magic "VQL1" | u32 header byte length | header JSON (UTF-8,
+# canonical) | records...; record: u32 name length | name UTF-8 | u32 rank |
+# u32 dims... | f32 data.  Every integer and float is little-endian.
+
+CHECKPOINT_MAGIC = b"VQL1"
+
+
+def write_checkpoint_bytes(header: dict, tensors: dict[str, np.ndarray]) -> bytes:
+    """The VQL1 bytes of a header and named tensors, each stored as float32."""
+    buf = io.BytesIO()
+
+    def sized(text: str) -> None:
+        raw = text.encode("utf-8")
+        buf.write(struct.pack("<I", len(raw)))
+        buf.write(raw)
+
+    buf.write(CHECKPOINT_MAGIC)
+    sized(canonical_json(header))
+    for name, array in tensors.items():
+        arr = np.ascontiguousarray(array, dtype="<f4")
+        sized(name)
+        buf.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+        buf.write(arr.tobytes())
+    return buf.getvalue()
+
+
+def read_checkpoint_bytes(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header JSON value and named tensors of VQL1 bytes.  Every read passes
+    one bounds check, so a corrupt length, rank or shape is an :class:`InputError`
+    before anything past the end of ``blob`` is read or allocated."""
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise InputError(f"bad checkpoint magic {blob[:4]!r}")
+    view, at = memoryview(blob), 4
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal at
+        if size > len(view) - at:
+            raise InputError(f"truncated checkpoint {what}")
+        at += size
+        return view[at - size:at]
+
+    def u32s(count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count, what))
+
+    def sized(what: str) -> memoryview:
+        (size,) = u32s(1, f"{what} length")
+        return take(size, what)
+
+    header = decode_json(sized("config"), "checkpoint config")
+    tensors: dict[str, np.ndarray] = {}
+    while at < len(view):
+        try:
+            name = str(sized("tensor name"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError("checkpoint tensor name is not UTF-8") from exc
+        (rank,) = u32s(1, f"rank of tensor {name!r}")
+        shape = u32s(rank, f"shape of tensor {name!r}")
+        data = take(4 * math.prod(shape), f"data of tensor {name!r}")
+        try:
+            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:  # a zero dim beside absurd ones, or rank above numpy's
+            raise InputError(f"tensor {name!r} has an unusable shape: {exc}") from exc
+    return header, tensors
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
@@ -305,12 +375,13 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     tensors["codebook.z"] = bundle.codebook.entries
     tensors["codebook.N"] = bundle.codebook.counts.astype(np.float32)
     tensors["codebook.m"] = bundle.codebook.sums.astype(np.float32)
-    md.save_checkpoint(path, header.to_dict(), tensors)
+    atomic_write_bytes(path, write_checkpoint_bytes(header.to_dict(), tensors))
 
 
 def load_bundle(path) -> ModelBundle:
     """Read a checkpoint for inference; its params record no autodiff tape."""
-    blob, tensors = md.load_checkpoint(path)
+    with open(path, "rb") as fh:
+        blob, tensors = read_checkpoint_bytes(fh.read())
     header = CheckpointHeader.from_dict(blob)
     if not all(isinstance(word, str) for word in header.vocab):
         raise ContractError("checkpoint vocab must be a list of words")

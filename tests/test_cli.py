@@ -3,8 +3,10 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +15,15 @@ import pytest
 from vqlat import autodiff as ad
 from vqlat import corpus as cg
 from vqlat import geometry as geo
-from vqlat import model as md
 from vqlat import quantizer
 from vqlat import tree as tc
 from vqlat.cli import load_run_config, main
 from vqlat.errors import ContractError
 from vqlat.reports import fmt
-from vqlat.training import ModelBundle, load_bundle, save_bundle, sentences_to_ids
+from vqlat.training import (ModelBundle, load_bundle, read_checkpoint_bytes, save_bundle,
+                            sentences_to_ids, write_checkpoint_bytes)
 
+from tests.commands import PREMISES, generator_commands, latent_commands, run_each
 from tests.conftest import train_bundle
 from tests.oracles import (BUILDERS_BY_HAND, attention_chain, greedy_generate_one,
                            inference_instances_by_hand, interpolate_per_step, linear_chain,
@@ -172,6 +175,7 @@ BAD_RUN_CONFIGS = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("edit", [e for _, e in BAD_RUN_CONFIGS],
                          ids=[name for name, _ in BAD_RUN_CONFIGS])
 def test_bad_run_config_exits_three_and_writes_nothing(tmp_path, capsys, edit):
@@ -186,7 +190,8 @@ def test_bad_run_config_exits_three_and_writes_nothing(tmp_path, capsys, edit):
     path = tmp_path / "run.json"
     path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     assert main(["train", "--config", str(path)]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -261,7 +266,51 @@ BAD_CHECKPOINT_HEADERS = [
     ("vocab_nested", lambda h: {**h, "vocab": [["a"]]}),
     ("vocab_not_words", lambda h: {**h, "vocab": list(range(len(h["vocab"])))}),
     ("missing_vocab", lambda h: {k: v for k, v in h.items() if k != "vocab"}),
+    ("header_list", lambda h: [h]),
 ]
+
+
+def record(name: bytes, dims: list[int], data: bytes = b"") -> bytes:
+    """One VQL1 tensor record, its fields written as given."""
+    return (struct.pack("<I", len(name)) + name
+            + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims) + data)
+
+
+U32_MAX = 2**32 - 1
+
+# Each turns a trained checkpoint's header into bytes the reader must refuse before
+# reading or allocating past their end, with a word its one error line holds.
+CORRUPT_CHECKPOINTS = [
+    ("bad_magic", lambda h: b"VQL0" + write_checkpoint_bytes(h, {})[4:], "magic"),
+    ("dims_u32_max", lambda h: write_checkpoint_bytes(h, {}) + record(b"w", [U32_MAX] * 2),
+     "truncated"),
+    ("rank_u32_max", lambda h: (write_checkpoint_bytes(h, {}) + struct.pack("<I", 1) + b"w"
+                                + struct.pack("<I", U32_MAX)), "truncated"),
+    ("rank_65", lambda h: write_checkpoint_bytes(h, {}) + record(b"w", [1] * 65, bytes(4)),
+     "shape"),
+    ("zero_dim_beside_u32_max", lambda h: (write_checkpoint_bytes(h, {})
+                                           + record(b"w", [0] + [U32_MAX] * 3)), "shape"),
+    ("name_not_utf8", lambda h: write_checkpoint_bytes(h, {}) + record(b"\xff", [1], bytes(4)),
+     "UTF-8"),
+]
+
+
+def assert_checkpoint_refused(ckpt: Path, corpus: str, out: Path, capsys, word: str | None = None) -> None:
+    """Loading ``ckpt`` is a ContractError whose peak allocation stays near the
+    file's size, and ``reconstruct`` on it exits 3 with one error line and no output."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError, match=word):
+            load_bundle(ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ckpt.stat().st_size + 2**21
+    assert main(["reconstruct", "--checkpoint", str(ckpt), "--corpus", corpus,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
 
 
 class TestReports:
@@ -428,51 +477,18 @@ class TestReports:
             (tmp_path / "t2" / "tree.json").read_bytes()
 
 
-PREMISES = {
-    "arg_sub": "a/O crow/ARG1 is/PRED a/O kind/O of/O bird/ARG2 ||| a/O bird/ARG1 can/MOD fly/PRED",
-    "conjunction": "a/O salmon/ARG1 can/MOD fly/PRED and/O crawl/PRED ||| "
-                   "a/O salmon/ARG1 can/MOD hunt/PRED",
-}
-
-
-def run_every_command(ckpt: str, corpus: str, sentence: str, root: Path, capsys):
+def run_every_command(ckpt: str, corpus: str, root: Path):
     """Exit code, stdout and stderr of both corpus generators and each latent-space
     command, and the bytes of every file they write under ``root``."""
-    lengths = [len(s.tokens) for s in cg.load_corpus(corpus)]
-    other = next(k for k, n in enumerate(lengths) if n != lengths[0])  # a padded pair
-    root.mkdir(parents=True)
-    for op, line in PREMISES.items():
-        (root / f"premises_{op}.txt").write_text(line + "\n")
-    latent_commands = [
-        ["reconstruct", "--corpus", corpus, "--out", str(root / "reconstruct")],
-        ["interpolate", "--corpus", corpus, "--random", "3", "--out", str(root / "interpolate")],
-        ["interpolate", "--corpus", corpus, "--source", "0", "--target", str(other),
-         "--out", str(root / "interpolate_pair")],
-        ["traverse", "--sentence", sentence, "--position", "1", "--n", "4"],
-        ["arith", "--a", sentence, "--b", sentence],
-        ["disentangle", "--corpus", corpus, "--out", str(root / "disentangle")],
-        ["tree", "--corpus", corpus, "--region", "pred:causes,means", "--min-leaf", "2",
-         "--out", str(root / "tree")],
-    ] + [["infer", "--op", op, "--generate", "4", "--out", str(root / op)]
-         for op in cg.INFERENCE_OPS] + [
-        ["infer", "--op", op, "--premises", str(root / f"premises_{op}.txt"),
-         "--out", str(root / f"premises_{op}")] for op in PREMISES]
-    commands = [["gen-corpus", "--kind", kind, "--seed", "3", "--count", "60",
-                 "--out", str(root / f"gen_{kind}")] for kind in ("grammar", "math")]
-    commands += [argv + ["--checkpoint", ckpt] for argv in latent_commands]
-    streams = []
-    for argv in commands:
-        code = main(argv)
-        captured = capsys.readouterr()
-        streams.append((argv[0], code, captured.out, captured.err))
+    streams = run_each(generator_commands(str(root)) + latent_commands(ckpt, corpus, str(root)))
     files = {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
     return streams, files
 
 
-def assert_outputs_unchanged(tiny_ckpt, root: Path, capsys, patch):
+def assert_outputs_unchanged(tiny_ckpt, root: Path, patch):
     """Every command's exit code, streams and file bytes are the same before and
     after ``patch()`` swaps in a reference implementation."""
-    args = (tiny_ckpt["ckpt"], tiny_ckpt["corpus"], tiny_ckpt["sentences"][0].text(), root, capsys)
+    args = (tiny_ckpt["ckpt"], tiny_ckpt["corpus"], root)
     shipped = run_every_command(*args)
     shutil.rmtree(root)
     patch()
@@ -484,14 +500,14 @@ def assert_outputs_unchanged(tiny_ckpt, root: Path, capsys, patch):
     assert all(code == 0 for _, code, _, _ in shipped[0])
 
 
-def test_outputs_equal_difference_form_argmin(tiny_ckpt, tmp_path, capsys, monkeypatch):
+def test_outputs_equal_difference_form_argmin(tiny_ckpt, tmp_path, monkeypatch):
     """The shortlisted nearest-entry search changes no output of any command."""
-    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys, lambda: monkeypatch.setattr(
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", lambda: monkeypatch.setattr(
         quantizer, "nearest_entries",
         lambda vectors, entries: np.argmin(sq_dists_scan(vectors, entries), axis=1)))
 
 
-def test_outputs_equal_one_sequence_decodes(tiny_ckpt, tmp_path, capsys, monkeypatch):
+def test_outputs_equal_one_sequence_decodes(tiny_ckpt, tmp_path, monkeypatch):
     """Pooling every command's index rows into one deduplicated decode call
     changes no output: each row's entries decoded alone by the oracle give the
     same bytes."""
@@ -500,11 +516,11 @@ def test_outputs_equal_one_sequence_decodes(tiny_ckpt, tmp_path, capsys, monkeyp
                                     max_len or bundle.config.max_len,
                                     bundle.vocab.START, bundle.vocab.END) for row in indices]
 
-    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys,
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out",
                              lambda: monkeypatch.setattr(ModelBundle, "decode_ids", one_at_a_time))
 
 
-def test_outputs_equal_hand_assembled_sentences(tiny_ckpt, tmp_path, capsys, monkeypatch):
+def test_outputs_equal_hand_assembled_sentences(tiny_ckpt, tmp_path, monkeypatch):
     """Templates written as corpus lines change no output: the hand-assembled
     token and role lists, and one instance-pool block per operation, give the
     same bytes."""
@@ -513,13 +529,13 @@ def test_outputs_equal_hand_assembled_sentences(tiny_ckpt, tmp_path, capsys, mon
             monkeypatch.setattr(cg, name, build)
         monkeypatch.setattr(cg, "generate_inference_instances", inference_instances_by_hand)
 
-    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys, by_hand)
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", by_hand)
 
 
-def test_outputs_equal_assignment_transport(tiny_ckpt, tmp_path, capsys, monkeypatch):
+def test_outputs_equal_assignment_transport(tiny_ckpt, tmp_path, monkeypatch):
     """The in-package transport solver changes no output: scipy's assignment over
     the lcm expansion, which it replaces, gives the same bytes."""
-    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys,
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out",
                              lambda: monkeypatch.setattr(geo, "wmd", wmd_by_assignment))
 
 
@@ -531,14 +547,14 @@ def test_malformed_json_is_contract_error_naming_the_file(tmp_path):
             load(broken)
 
 
-def test_outputs_equal_chained_linear_and_attention(tiny_ckpt, tmp_path, capsys, monkeypatch):
+def test_outputs_equal_chained_linear_and_attention(tiny_ckpt, tmp_path, monkeypatch):
     """The fused linear and attention nodes change no output: the matmul, add,
     scale, mask and softmax chains they replace give the same bytes."""
     def chains():
         monkeypatch.setattr(ad, "linear", linear_chain)
         monkeypatch.setattr(ad, "attention", attention_chain)
 
-    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", capsys, chains)
+    assert_outputs_unchanged(tiny_ckpt, tmp_path / "out", chains)
 
 
 class TestExitCodes:
@@ -575,10 +591,10 @@ class TestExitCodes:
         ("model", "dropout_rate", 0.0), ("quantizer", "gumbel_tau", 1.0),
         ("quantizer", "use_ema", True), ("quantizer", "include_codebook_term", False)])
     def test_retired_header_key_is_three(self, tiny_ckpt, tmp_path, capsys, section, key, value):
-        header, tensors = md.read_checkpoint_bytes(Path(tiny_ckpt["ckpt"]).read_bytes())
+        header, tensors = read_checkpoint_bytes(Path(tiny_ckpt["ckpt"]).read_bytes())
         header[section] = {**header[section], key: value}
         ckpt = tmp_path / "old.ckpt"
-        ckpt.write_bytes(md.write_checkpoint_bytes(header, tensors))
+        ckpt.write_bytes(write_checkpoint_bytes(header, tensors))
         out = tmp_path / "out"
         assert main(["reconstruct", "--checkpoint", str(ckpt), "--corpus", tiny_ckpt["corpus"],
                      "--out", str(out)]) == 3
@@ -625,10 +641,10 @@ class TestExitCodes:
                                  d_model=8, n_heads=2)
         save_bundle(tmp_path / "full.ckpt", bundle)
         raw = (tmp_path / "full.ckpt").read_bytes()
-        blob, tensors = md.read_checkpoint_bytes(raw)
+        blob, tensors = read_checkpoint_bytes(raw)
         names = list(tensors)
         # every record boundary, plus a stride through headers and tensor data
-        cuts = {len(md.write_checkpoint_bytes(blob, {n: tensors[n] for n in names[:k]}))
+        cuts = {len(write_checkpoint_bytes(blob, {n: tensors[n] for n in names[:k]}))
                 for k in range(len(names))}
         cuts |= set(range(0, len(raw), 13))
         ckpt = tmp_path / "cut.ckpt"
@@ -640,20 +656,23 @@ class TestExitCodes:
         corpus = tmp_path / "corpus.txt"
         cg.save_corpus(corpus, sentences)
         ckpt.write_bytes(raw[:len(raw) // 2])
-        assert main(["reconstruct", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        assert_checkpoint_refused(ckpt, str(corpus), tmp_path / "out", capsys, "truncated")
 
     @pytest.mark.parametrize("edit", [e for _, e in BAD_CHECKPOINT_HEADERS],
                              ids=[name for name, _ in BAD_CHECKPOINT_HEADERS])
     def test_bad_checkpoint_header_is_three(self, tiny_ckpt, tmp_path, capsys, edit):
-        header, tensors = md.read_checkpoint_bytes(Path(tiny_ckpt["ckpt"]).read_bytes())
+        header, tensors = read_checkpoint_bytes(Path(tiny_ckpt["ckpt"]).read_bytes())
         ckpt = tmp_path / "edited.ckpt"
-        ckpt.write_bytes(md.write_checkpoint_bytes(edit(header), tensors))
-        out = tmp_path / "out"
-        assert main(["reconstruct", "--checkpoint", str(ckpt), "--corpus", tiny_ckpt["corpus"],
-                     "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        ckpt.write_bytes(write_checkpoint_bytes(edit(header), tensors))
+        assert_checkpoint_refused(ckpt, tiny_ckpt["corpus"], tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("build,word", [(b, w) for _, b, w in CORRUPT_CHECKPOINTS],
+                             ids=[name for name, _, _ in CORRUPT_CHECKPOINTS])
+    def test_corrupt_checkpoint_is_three(self, tiny_ckpt, tmp_path, capsys, build, word):
+        header, _ = read_checkpoint_bytes(Path(tiny_ckpt["ckpt"]).read_bytes())
+        ckpt = tmp_path / "corrupt.ckpt"
+        ckpt.write_bytes(build(header))
+        assert_checkpoint_refused(ckpt, tiny_ckpt["corpus"], tmp_path / "out", capsys, word)
 
     @pytest.mark.parametrize("op,line", [
         ("arg_sub", "a/O birch/ARG1 is/PRED a/O kind/O of/O tree/ARG2 ||| "

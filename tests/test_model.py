@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vqlat import autodiff as ad
 from vqlat import model as md
+from vqlat import training
 from vqlat.autodiff import Tensor
 from vqlat.errors import ContractError, InputError, ShapeError
 
@@ -306,38 +307,30 @@ class TestDroppedRows:
 
 
 class TestCheckpointFormat:
-    def test_round_trip_bit_exact(self, tmp_path, small_setup):
+    """The VQL1 container, framed and read by ``training``, on model parameters."""
+
+    def test_round_trip_bit_exact(self, small_setup):
         config, params = small_setup
         blob = {"model": config.to_dict(), "note": "fixture"}
-        path = tmp_path / "model.ckpt"
-        md.save_checkpoint(path, blob, params.arrays())
-        raw1 = path.read_bytes()
-        loaded_blob, tensors = md.load_checkpoint(path)
+        raw1 = training.write_checkpoint_bytes(blob, params.arrays())
+        loaded_blob, tensors = training.read_checkpoint_bytes(raw1)
         assert loaded_blob == blob
         for name, arr in params.arrays().items():
             np.testing.assert_array_equal(tensors[name], arr.astype("<f4"))
-        md.save_checkpoint(path, loaded_blob, tensors)
-        assert path.read_bytes() == raw1
+        assert training.write_checkpoint_bytes(loaded_blob, tensors) == raw1
 
-    def test_magic_enforced(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
+    def test_magic_enforced(self):
         with pytest.raises(InputError):
-            md.load_checkpoint(path)
+            training.read_checkpoint_bytes(b"NOPE" + b"\x00" * 16)
 
-    def test_truncation_detected(self, tmp_path, small_setup):
+    def test_truncation_detected(self, small_setup):
         config, params = small_setup
-        path = tmp_path / "model.ckpt"
-        md.save_checkpoint(path, {"model": config.to_dict()}, params.arrays())
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-3])
+        raw = training.write_checkpoint_bytes({"model": config.to_dict()}, params.arrays())
         with pytest.raises(InputError):
-            md.load_checkpoint(path)
+            training.read_checkpoint_bytes(raw[:-3])
 
-    def test_header_layout(self, small_setup):
-        config, _ = small_setup
-        blob = md.write_checkpoint_bytes({"a": 1}, {"w": np.zeros((2, 3), dtype=np.float32)})
-        assert blob[:4] == b"VQL1"
+    def test_header_layout(self):
         import struct
-        config_len = struct.unpack("<I", blob[4:8])[0]
-        assert blob[8:8 + config_len] == b'{"a":1}'
+        blob = training.write_checkpoint_bytes({"a": 1}, {"w": np.zeros((2, 3), dtype=np.float32)})
+        assert blob == (b"VQL1" + struct.pack("<I", 7) + b'{"a":1}'
+                        + struct.pack("<I", 1) + b"w" + struct.pack("<3I", 2, 2, 3) + bytes(24))

@@ -1,9 +1,11 @@
-"""Every name the package defines has a caller.
+"""Every name the package defines has a caller, and every name it imports a reader.
 
 The package's module-level functions, classes and assigned names, and the
 methods of its classes, must each appear somewhere in ``src/``, ``tests/`` or
 ``perfbench/`` besides their own definition.  Occurrences are whole words in
 the raw text, so a name the benchmark resolves from a string counts as used.
+Each name a package module imports must be read by an expression in that
+module; the test dependencies hold no linter that would check it.
 """
 
 import ast
@@ -62,3 +64,33 @@ def test_every_package_name_has_a_caller():
     uses = Counter(re.findall(r"\w+", text))
     dead = sorted(name for name, count in definitions.items() if uses[name] <= count)
     assert dead == [], f"names defined in src/vqlat with no use anywhere: {dead}"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an ``import`` binds that no expression in ``source`` reads, in
+    import order; ``from __future__`` imports are skipped."""
+    tree, bound = ast.parse(source), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_sees_every_import_form():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from json import dumps, loads as parse\n"
+              "def _probe(x: np.ndarray):\n"
+              "    return os.path.join(parse(x))\n")
+    assert unused_imports(source) == ["math", "dumps"]
+
+
+def test_every_package_import_is_used():
+    unused = {path.name: names for path in sorted((ROOT / "src" / "vqlat").glob("*.py"))
+              if (names := unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}, f"imports no expression in their module reads: {unused}"
