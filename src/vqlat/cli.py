@@ -183,10 +183,7 @@ def cmd_interpolate(args) -> int:
     ends = sorted({k for pair in pairs for k in pair})
     indices = dict(zip(ends, bundle.quantize_ids(
         sentences_to_ids([tokens[k] for k in ends], bundle.vocab))))
-    sources, targets = zip(*(geo.pad_pair(indices[i], indices[j], pad) for i, j in pairs))
-    times, stacked = geo.interpolate(np.concatenate(sources), np.concatenate(targets),
-                                     bundle.codebook)
-    paths = np.split(stacked, np.cumsum([len(src) for src in sources])[:-1], axis=1)
+    paths = geo.interpolate([(indices[i], indices[j]) for i, j in pairs], bundle.codebook, pad)
     decodes = _decode_groups(bundle, paths)
     distinct = list(dict.fromkeys(tuple(words) for steps in decodes for words in steps))
     embeddings = dict(zip(distinct, bundle.wmd_embeddings(distinct)))
@@ -194,7 +191,7 @@ def cmd_interpolate(args) -> int:
 
     for (i, j), steps, decoded in zip(pairs, paths, decodes):
         atomic_write_text(os.path.join(args.out, f"path_{i}_{j}.txt"),
-                          geo.dump_path(times, steps, decoded))
+                          geo.dump_path(steps, decoded))
     report = (f"pairs\t{len(scores)}\n"
               f"avg IS\t{fmt(float(np.mean(scores)))}\n"
               f"max IS\t{fmt(float(np.max(scores)))}\n"

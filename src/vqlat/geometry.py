@@ -1,11 +1,12 @@
 """Latent-space control and measurement.
 
 Everything here operates on quantized latents, as rows of codebook entry
-indices, and a codebook snapshot: interpolation paths with their smoothness
-ratio, the exact optimal-transport cost between embedding bags, per-position
-traversal, latent addition, role-content dispersion statistics, and span
-substitution between premises.  All functions are pure given the codebook
-snapshot; none decodes, so the control functions return the indices they build.
+indices, and a codebook snapshot: one interpolation path per endpoint pair
+with its smoothness ratio, the exact optimal-transport cost between embedding
+bags, per-position traversal, latent addition, role-content dispersion
+statistics, and span substitution between premises.  All functions are pure
+given the codebook snapshot; none decodes, so the control functions return the
+indices they build.
 """
 
 from __future__ import annotations
@@ -27,37 +28,32 @@ def _euclidean_to_entries(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return np.sqrt(pairwise_sq_dists(rows.astype(np.float64), entries.astype(np.float64)))
 
 
-def pad_pair(source: np.ndarray, target: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two index rows of one length: the shorter one gets ``pad`` appended."""
-    length = max(len(source), len(target))
-    return tuple(np.concatenate([idx, np.full(length - len(idx), pad)])
-                 for idx in (source, target))
+# The step times ``t`` of every interpolation path, source first.
+TIMES = [k * 0.1 for k in range(10)] + [1.0]
 
 
-def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
-                step_size: float = 0.1,
-                pad_index: int | None = None) -> tuple[list[float], np.ndarray]:
-    """Stepwise path from source to target entry indices: the step times ``t``
-    and the ``[steps, L]`` entry indices of every step, source first.
+def interpolate(pairs: Sequence[tuple], codebook: Codebook, pad_index: int) -> list[np.ndarray]:
+    """Stepwise path from source to target entry indices for each
+    ``(source, target)`` pair: the ``[steps, L]`` entry indices of every step,
+    one row per time of :data:`TIMES`, source first.
 
     At each step every position moves to the entry minimizing the weighted
     pair of distances ``(1-t)*d(previous, entry) + t*d(target, entry)``, so the
-    final step lands exactly on the target entries.  Unequal lengths require a
-    ``pad_index`` entry (:func:`pad_pair`) and are otherwise rejected.
+    final step lands exactly on the target entries.  The shorter row of a pair
+    is padded with ``pad_index`` to the longer one's length ``L``.
 
-    Positions step independently, in blocks of ``max(1, 2**15 // K)`` over one memo of
-    each distinct entry's distance row, so one call can take many pairs' padded rows.
+    Positions step independently, so all pairs' padded rows step as one row, in
+    blocks of ``max(1, 2**15 // K)`` over one memo of each distinct entry's
+    distance row, and the result is split back into pairs.
     """
-    source = codebook.check_indices(source, "interpolate source")
-    target = codebook.check_indices(target, "interpolate target")
-    if len(source) != len(target):
-        if pad_index is None:
-            raise ContractError(
-                f"length mismatch {len(source)} vs {len(target)} and no pad index given")
-        source, target = pad_pair(source, target,
-                                  codebook.check_indices(pad_index, "interpolate pad"))
-    if not 0.0 < step_size <= 1.0:
-        raise ContractError(f"step_size must lie in (0, 1], got {step_size}")
+    if len(pairs) == 0:
+        raise ContractError("interpolate: no pairs given")
+    pad = codebook.check_indices(pad_index, "interpolate pad")
+    lengths = [max(len(source), len(target)) for source, target in pairs]
+    sides = [np.concatenate([part for row, n in zip(rows, lengths)  # each pair padded, end to end
+                             for part in (row, np.full(n - len(row), pad))]) for rows in zip(*pairs)]
+    source = codebook.check_indices(sides[0], "interpolate source")
+    target = codebook.check_indices(sides[1], "interpolate target")
     memo: dict[int, np.ndarray] = {}
 
     def entry_dists(idx: np.ndarray) -> np.ndarray:
@@ -66,24 +62,22 @@ def interpolate(source: np.ndarray, target: np.ndarray, codebook: Codebook,
             memo.update(zip(new, _euclidean_to_entries(codebook.entries[new], codebook.entries)))
         return np.stack([memo[int(i)] for i in idx])
 
-    n_steps = round(1.0 / step_size)
-    times = [min(k * step_size, 1.0) if k < n_steps else 1.0 for k in range(n_steps + 1)]
-    steps = np.tile(source.astype(np.intp), (len(times), 1))  # blocks overwrite steps 1..
+    steps = np.tile(source.astype(np.intp), (len(TIMES), 1))  # blocks overwrite steps 1..
     block = max(1, 2**15 // codebook.size)
     for start in range(0, len(source), block):
         cols = slice(start, start + block)
         tgt_dists = entry_dists(target[cols])
-        for k, t in enumerate(times[1:], 1):
+        for k, t in enumerate(TIMES[1:], 1):
             steps[k, cols] = np.argmin((1.0 - t) * entry_dists(steps[k - 1, cols])
                                        + t * tgt_dists, axis=1)
-    return times, steps
+    return np.split(steps, np.cumsum(lengths)[:-1], axis=1)
 
 
-def dump_path(times: Sequence[float], steps: np.ndarray, decoded: Sequence[Sequence]) -> str:
+def dump_path(steps: np.ndarray, decoded: Sequence[Sequence]) -> str:
     """One ``t<TAB>indices<TAB>decoded sentence`` line per step of an
     :func:`interpolate` path."""
     lines = []
-    for t, indices, words in zip(times, steps, decoded, strict=True):
+    for t, indices, words in zip(TIMES, steps, decoded, strict=True):
         indices = ",".join(str(int(i)) for i in indices)
         sentence = " ".join(str(tok) for tok in words)
         lines.append(f"{t:.2f}\t{indices}\t{sentence}")
@@ -275,7 +269,8 @@ def disentanglement_stats(sentences: Sequence[SentenceLatents],
     """
     centers: dict[str, set[int]] = {}
     for sentence in sentences:
-        for tok, role, idx in zip(sentence.tokens, sentence.roles, sentence.indices):
+        indices = codebook.check_indices(sentence.indices, "disentanglement indices")
+        for tok, role, idx in zip(sentence.tokens, sentence.roles, indices):
             if role == "O":
                 continue
             centers.setdefault(f"{role}-{tok}", set()).add(int(idx))

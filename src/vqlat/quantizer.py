@@ -277,7 +277,7 @@ def ema_update(codebook: Codebook, embeddings: np.ndarray, indices: np.ndarray) 
     are reseeded to a random embedding from this batch.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    indices = np.asarray(indices)
+    indices = codebook.check_indices(indices, "ema_update assignments")
     if embeddings.shape[0] != indices.shape[0]:
         raise ShapeError(f"ema_update: {embeddings.shape[0]} embeddings vs {indices.shape[0]} assignments")
     lam = codebook.decay

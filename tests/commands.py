@@ -29,7 +29,9 @@ def generator_commands(root: str) -> list[list[str]]:
 def latent_commands(ckpt: str, corpus: str, root: str) -> list[list[str]]:
     """Each latent-space command on ``ckpt`` and ``corpus``, writing under ``root``,
     where the premises files the infer commands read are written first.  The
-    sentence is the corpus's first, and the named pair pads it to another length."""
+    sentence is the corpus's first, and the named pair pads it to another length.
+    ``--random 40`` is the benchmark's interpolate size: at K 512 its positions
+    cross ``geometry.interpolate``'s blocks of 64."""
     sentences = cg.load_corpus(corpus)
     lengths = [len(s.tokens) for s in sentences]
     other = next(k for k, n in enumerate(lengths) if n != lengths[0])
@@ -45,6 +47,8 @@ def latent_commands(ckpt: str, corpus: str, root: str) -> list[list[str]]:
     commands = [
         ["reconstruct", "--corpus", corpus, "--out", at("reconstruct")],
         ["interpolate", "--corpus", corpus, "--random", "3", "--out", at("interpolate")],
+        ["interpolate", "--corpus", corpus, "--random", "40", "--seed", "5",
+         "--out", at("interpolate_40")],
         ["interpolate", "--corpus", corpus, "--source", "0", "--target", str(other),
          "--out", at("interpolate_pair")],
         ["traverse", "--sentence", sentence, "--position", "1", "--n", "4"],

@@ -140,10 +140,10 @@ def farthest_point_reference(data: np.ndarray, k: int, rng: np.random.Generator)
 
 
 def interpolate_per_step(source: np.ndarray, target: np.ndarray, entries: np.ndarray,
-                         step_size: float = 0.1, pad_index: int | None = None):
-    """Interpolation path between entry-index rows as ``(t, indices)`` pairs,
-    gathering every step's entry rows and recomputing their float64 distances
-    to all entries."""
+                         pad_index: int | None = None):
+    """Interpolation path between entry-index rows as ``(t, indices)`` pairs at
+    ``t = 0, 0.1, ..., 1``, gathering every step's entry rows and recomputing
+    their float64 distances to all entries."""
     source, target = list(source), list(target)
     while len(source) < len(target):
         source.append(pad_index)
@@ -155,10 +155,9 @@ def interpolate_per_step(source: np.ndarray, target: np.ndarray, entries: np.nda
         return np.sqrt(sq_dists_scan(wide[idx], wide))
 
     tgt_dists = euclidean(np.asarray(target))
-    n_steps = round(1.0 / step_size)
     points = [(0.0, np.asarray(source))]
-    for k in range(1, n_steps + 1):
-        t = min(k * step_size, 1.0) if k < n_steps else 1.0
+    for k in range(1, 11):
+        t = 1.0 if k == 10 else k * 0.1
         points.append((t, np.argmin((1.0 - t) * euclidean(points[-1][1]) + t * tgt_dists, axis=1)))
     return points
 

@@ -385,7 +385,7 @@ def test_criterion_07_interpolation_suite(trained_fixture):
             i, j = int(rng.integers(len(tokens))), int(rng.integers(len(tokens)))
             src_idx, _ = bundle.quantize_words(tokens[i])
             tgt_idx, _ = bundle.quantize_words(tokens[j])
-            _, steps = geo.interpolate(src_idx, tgt_idx, codebook, pad_index=pad)
+            [steps] = geo.interpolate([(src_idx, tgt_idx)], codebook, pad)
             for indices in steps:
                 assert np.issubdtype(indices.dtype, np.integer)
                 assert ((0 <= indices) & (indices < codebook.size)).all()
@@ -401,7 +401,7 @@ def test_criterion_07_interpolation_suite(trained_fixture):
 
         # source == target collapses to the degenerate path
         src_idx, _ = bundle.quantize_words(tokens[0])
-        _, steps = geo.interpolate(src_idx, src_idx.copy(), codebook)
+        [steps] = geo.interpolate([(src_idx, src_idx.copy())], codebook, pad)
         assert smoothness(steps) == 1.0
 
         for case in range(30):

@@ -25,6 +25,7 @@ from vqlat.training import (ModelBundle, load_bundle, read_checkpoint_bytes, sav
 
 from tests.commands import PREMISES, generator_commands, latent_commands, run_each
 from tests.conftest import train_bundle
+from tests.identity import differences
 from tests.oracles import (BUILDERS_BY_HAND, attention_chain, greedy_generate_one,
                            inference_instances_by_hand, interpolate_per_step, linear_chain,
                            reconstruct_greedy_all, sq_dists_scan, wmd_by_assignment)
@@ -400,19 +401,19 @@ class TestReports:
         tokens = [s.tokens for s in tiny_ckpt["sentences"]]
         paths = sorted(tmp_path.glob("path_*.txt"))
         assert len(paths) == 12  # seed 4 draws 12 distinct pairs
-        lengths = []
         for path in paths:
             i, j = (int(k) for k in path.stem.split("_")[1:])
             src, tgt = bundle.quantize_ids(sentences_to_ids([tokens[i], tokens[j]], bundle.vocab))
-            lengths.append((len(src), len(tgt)))
             want = [",".join(str(int(k)) for k in indices)
                     for _, indices in interpolate_per_step(src, tgt, bundle.codebook.entries,
                                                            pad_index=pad)]
             assert [line.split("\t")[1] for line in path.read_text().splitlines()] == want, path
-        # pairs of unequal and of different padded lengths share the call
+        # the one call holds all 12 pairs, of unequal and of different padded lengths
+        pairs, _, call_pad = calls[0]
+        assert len(pairs) == 12 and call_pad == pad
+        lengths = [(len(src), len(tgt)) for src, tgt in pairs]
         assert any(a != b for a, b in lengths)
         assert len({max(pair) for pair in lengths}) > 1
-        assert len(calls[0][0]) == sum(max(pair) for pair in lengths)
 
     def test_traverse_and_arith_run(self, tiny_ckpt, capsys):
         sentence = tiny_ckpt["sentences"][0].text()
@@ -493,10 +494,8 @@ def assert_outputs_unchanged(tiny_ckpt, root: Path, patch):
     shutil.rmtree(root)
     patch()
     reference = run_every_command(*args)
-    assert shipped[0] == reference[0]
-    assert shipped[1].keys() == reference[1].keys() and len(shipped[1]) >= 10
-    for name, blob in shipped[1].items():
-        assert blob == reference[1][name], name
+    assert differences(shipped, reference) == []
+    assert len(shipped[1]) >= 10
     assert all(code == 0 for _, code, _, _ in shipped[0])
 
 

@@ -16,7 +16,7 @@ from vqlat import corpus as cg
 from vqlat import geometry as geo
 from vqlat import model as md
 from vqlat.errors import ContractError, NoAnchorError
-from vqlat.quantizer import Codebook, QuantizerConfig, quantize_kmeans
+from vqlat.quantizer import Codebook, QuantizerConfig, ema_update, quantize_kmeans
 from vqlat.training import ModelBundle
 
 from tests.oracles import (interpolate_per_step, min_permutation_cost, sq_dists_scan,
@@ -33,22 +33,27 @@ def cb():
     return make_codebook(rng.standard_normal((6, 4)))
 
 
+def padded_end_to_end(rows, lengths, pad):
+    """``rows`` padded with ``pad`` to ``lengths``, end to end."""
+    return np.concatenate([list(row) + [pad] * (n - len(row)) for row, n in zip(rows, lengths)])
+
+
 class TestInterpolate:
     def test_source_equals_target_is_constant(self, cb):
         src = np.array([0, 3])
-        times, steps = geo.interpolate(src, src.copy(), cb)
-        assert len(times) == len(steps) == 11
+        [steps] = geo.interpolate([(src, src.copy())], cb, 5)
+        assert len(geo.TIMES) == len(steps) == 11
         for row in steps:
             np.testing.assert_array_equal(row, src)
 
     def test_final_step_matches_target_indices(self, cb):
-        times, steps = geo.interpolate(np.array([0, 1]), np.array([4, 5]), cb)
+        [steps] = geo.interpolate([(np.array([0, 1]), np.array([4, 5]))], cb, 5)
         assert steps[0].tolist() == [0, 1]
-        assert times[0] == 0.0 and times[-1] == 1.0
+        assert geo.TIMES[0] == 0.0 and geo.TIMES[-1] == 1.0
         assert steps[-1].tolist() == [4, 5]
 
     def test_all_rows_are_codebook_entries(self, cb):
-        _, steps = geo.interpolate(np.array([2, 0]), np.array([5, 3]), cb)
+        [steps] = geo.interpolate([(np.array([2, 0]), np.array([5, 3]))], cb, 5)
         assert steps.shape == (11, 2)
         assert np.issubdtype(steps.dtype, np.integer)
         assert ((0 <= steps) & (steps < cb.size)).all()
@@ -59,7 +64,7 @@ class TestInterpolate:
             cb = make_codebook(rng.standard_normal((4, 3)))
             src = rng.integers(0, 4, size=2)
             tgt = rng.integers(0, 4, size=2)
-            _, steps = geo.interpolate(src, tgt, cb)
+            [steps] = geo.interpolate([(src, tgt)], cb, 0)
             prev = cb.entries[src]
             for k in range(1, 11):
                 t = 1.0 if k == 10 else k * 0.1
@@ -84,21 +89,18 @@ class TestInterpolate:
             src = rng.integers(0, k, size=int(rng.integers(1, 7)))
             tgt = rng.integers(0, k, size=int(rng.integers(1, 7)))
             pad = int(rng.integers(0, k))
-            step_size = (0.1, 0.25, 0.3, 1.0)[trial % 4]
-            times, steps = geo.interpolate(src, tgt, cb, step_size=step_size, pad_index=pad)
-            want = interpolate_per_step(src, tgt, cb.entries, step_size, pad)
-            assert len(times) == len(steps) == len(want)
-            for got_t, got, (t, indices) in zip(times, steps, want):
-                assert got_t == t
+            [steps] = geo.interpolate([(src, tgt)], cb, pad)
+            want = interpolate_per_step(src, tgt, cb.entries, pad)
+            assert geo.TIMES == [t for t, _ in want]
+            assert len(steps) == len(want)
+            for got, (t, indices) in zip(steps, want):
                 assert got.tolist() == indices.tolist(), (trial, t)
 
     @settings(max_examples=150, deadline=None)
     @given(case=st.sampled_from(["distinct", "duplicates", "few_distinct"]),
            k=st.one_of(st.integers(1, 40), st.integers(2**12, 2**13)), dim=st.integers(1, 6),
-           n_pairs=st.integers(1, 8), step_size=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_one_call_over_concatenated_pairs_equals_each_pair(self, case, k, dim, n_pairs,
-                                                               step_size, seed):
+           n_pairs=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_one_call_over_concatenated_pairs_equals_each_pair(self, case, k, dim, n_pairs, seed):
         # k of 4096-8192 makes blocks of 4-8 positions, so the pairs cross block boundaries
         rng = np.random.default_rng(seed)
         entries = rng.standard_normal((k, dim))
@@ -110,38 +112,36 @@ class TestInterpolate:
         pad = int(rng.integers(0, k))
         pairs = [(rng.integers(0, k, size=int(rng.integers(1, 8))),
                   rng.integers(0, k, size=int(rng.integers(1, 8)))) for _ in range(n_pairs)]
-        padded = [geo.pad_pair(src, tgt, pad) for src, tgt in pairs]
-        source = np.concatenate([src for src, _ in padded])
-        target = np.concatenate([tgt for _, tgt in padded])
         rows = []
         exact = geo._euclidean_to_entries
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geo, "_euclidean_to_entries",
                           lambda r, e: rows.append(len(r)) or exact(r, e))
-            times, steps = geo.interpolate(source, target, cb, step_size=step_size)
-        # the rows read are the targets' and every step's but the last (nothing steps from it)
-        assert sum(rows) == len(set(target.tolist()) | set(steps[:-1].ravel().tolist()))
-        start = 0
-        for (src, tgt), (padded_src, _) in zip(pairs, padded):
-            want = interpolate_per_step(src, tgt, cb.entries, step_size, pad)
-            assert times == [t for t, _ in want]
-            np.testing.assert_array_equal(steps[:, start:start + len(padded_src)],
-                                          np.stack([indices for _, indices in want]))
-            start += len(padded_src)
+            paths = geo.interpolate(pairs, cb, pad)
+        # the rows read are the padded targets' and every step's but the last (nothing
+        # steps from it), over all pairs at once
+        target = padded_end_to_end([tgt for _, tgt in pairs],
+                                   [max(len(src), len(tgt)) for src, tgt in pairs], pad)
+        stepped = {int(i) for steps in paths for i in steps[:-1].ravel()}
+        assert sum(rows) == len(set(target.tolist()) | stepped)
+        assert len(paths) == n_pairs
+        for (src, tgt), steps in zip(pairs, paths):
+            want = interpolate_per_step(src, tgt, cb.entries, pad)
+            np.testing.assert_array_equal(steps, np.stack([indices for _, indices in want]))
 
     def test_memory_grows_with_distinct_entries_not_positions(self, monkeypatch):
         rng = np.random.default_rng(3)
         k, dim, positions = 512, 64, 400
         cb = make_codebook(rng.standard_normal((k, dim)))
         source, target = (rng.integers(0, 64, size=positions) for _ in range(2))
-        geo.interpolate(source[:2], target[:2], cb)  # numpy's lazy imports stay out of the peak
+        geo.interpolate([(source[:2], target[:2])], cb, 0)  # numpy's lazy imports stay out of the peak
         rows = []
         exact = geo._euclidean_to_entries
         monkeypatch.setattr(geo, "_euclidean_to_entries",
                             lambda r, e: rows.append(len(r)) or exact(r, e))
         tracemalloc.start()
         try:
-            geo.interpolate(source, target, cb)
+            geo.interpolate([(source, target)], cb, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -152,19 +152,26 @@ class TestInterpolate:
         budget = k * dim * 8 + 2**17 * 8 + 6 * 2**15 * 8
         assert peak <= memo + budget, (peak, memo, budget)
 
-    def test_length_mismatch_without_padding(self, cb):
-        with pytest.raises(ContractError):
-            geo.interpolate(np.array([0]), np.array([1, 2]), cb)
-
     def test_padding_extends_shorter_side(self, cb):
-        _, steps = geo.interpolate(np.array([0]), np.array([1, 2]), cb, pad_index=5)
+        [steps] = geo.interpolate([(np.array([0]), np.array([1, 2]))], cb, 5)
         assert steps[0].tolist() == [0, 5]
         assert steps[-1].tolist() == [1, 2]
 
+    def test_no_pairs_refused(self, cb):
+        with pytest.raises(ContractError):
+            geo.interpolate([], cb, 5)
+
+    def test_pairs_of_lists_match_the_per_pair_oracle(self, cb):
+        pairs = [([0, 3], [4]), ([2], [1, 5, 0]), ([5, 5], [0, 1])]
+        paths = geo.interpolate(pairs, cb, 5)
+        for (src, tgt), steps in zip(pairs, paths, strict=True):
+            want = interpolate_per_step(src, tgt, cb.entries, 5)
+            assert steps.tolist() == [indices.tolist() for _, indices in want]
+
     def test_dump_format(self, cb):
-        times, steps = geo.interpolate(np.array([0]), np.array([1]), cb)
+        [steps] = geo.interpolate([(np.array([0]), np.array([1]))], cb, 5)
         decoded = [[f"w{i}" for i in row] for row in steps]
-        lines = geo.dump_path(times, steps, decoded).strip().split("\n")
+        lines = geo.dump_path(steps, decoded).strip().split("\n")
         assert len(lines) == 11
         t, indices, sentence = lines[0].split("\t")
         assert t == "0.00" and indices == "0" and sentence == "w0"
@@ -174,7 +181,7 @@ class TestInterpolate:
 def test_interpolate_reads_endpoint_indices_without_quantizing(cb, monkeypatch):
     calls = []
     monkeypatch.setattr(geo, "quantize_kmeans", lambda *a: calls.append(a) or quantize_kmeans(*a))
-    _, steps = geo.interpolate(np.array([2, 0]), np.array([5, 3]), cb)
+    [steps] = geo.interpolate([(np.array([2, 0]), np.array([5, 3]))], cb, 5)
     assert calls == []
     assert steps[0].tolist() == [2, 0]
     assert steps[-1].tolist() == [5, 3]
@@ -183,7 +190,7 @@ def test_interpolate_reads_endpoint_indices_without_quantizing(cb, monkeypatch):
 @pytest.mark.parametrize("bad", [-1, 6, 1.0], ids=["negative", "K", "float"])
 @pytest.mark.parametrize("call", [
     "interpolate-source", "interpolate-target", "interpolate-pad", "traverse", "arith",
-    "substitute-premise", "substitute-and", "decode"])
+    "substitute-premise", "substitute-and", "decode", "disentangle", "ema_update"])
 def test_index_inputs_outside_the_codebook_are_refused(cb, call, bad):
     """Every function taking entry indices refuses -1, K and a float index with a
     ContractError instead of wrapping or truncating it."""
@@ -194,10 +201,9 @@ def test_index_inputs_outside_the_codebook_are_refused(cb, call, bad):
     vocab = cg.Vocabulary(["wolf"])
     config = md.ModelConfig(vocab_size=len(vocab), d_model=cb.dim, n_heads=1, max_len=4)
     calls = {
-        "interpolate-source": lambda: geo.interpolate(row, np.array([0, 1, 2]), cb),
-        "interpolate-target": lambda: geo.interpolate(np.array([0, 1, 2]), row, cb),
-        "interpolate-pad": lambda: geo.interpolate(np.array([0]), np.array([1, 2]), cb,
-                                                   pad_index=bad),
+        "interpolate-source": lambda: geo.interpolate([(row, np.array([0, 1, 2]))], cb, 0),
+        "interpolate-target": lambda: geo.interpolate([(np.array([0, 1, 2]), row)], cb, 0),
+        "interpolate-pad": lambda: geo.interpolate([(np.array([0]), np.array([1, 2]))], cb, bad),
         "traverse": lambda: geo.traverse_position(row, 0, cb, 2),
         "arith": lambda: geo.latent_arithmetic_add(np.array([0, 1, 2]), row, cb),
         "substitute-premise": lambda: geo.substitute(
@@ -208,6 +214,9 @@ def test_index_inputs_outside_the_codebook_are_refused(cb, call, bad):
             "conjunction", cb, and_index=bad),
         "decode": lambda: ModelBundle(config, md.init_params(config, np.random.default_rng(0)), cb,
                                       QuantizerConfig(), vocab).decode_ids([np.array([0]), row]),
+        "disentangle": lambda: geo.disentanglement_stats(
+            [geo.SentenceLatents(["wolf", "can", "run"], ["ARG1", "MOD", "PRED"], row)], cb),
+        "ema_update": lambda: ema_update(cb, np.zeros((3, cb.dim)), row),
     }
     with pytest.raises(ContractError):
         calls[call]()
