@@ -50,8 +50,10 @@ def interpolate(pairs: Sequence[tuple], codebook: Codebook, pad_index: int) -> l
         raise ContractError("interpolate: no pairs given")
     pad = codebook.check_indices(pad_index, "interpolate pad")
     lengths = [max(len(source), len(target)) for source, target in pairs]
-    sides = [np.concatenate([part for row, n in zip(rows, lengths)  # each pair padded, end to end
-                             for part in (row, np.full(n - len(row), pad))]) for rows in zip(*pairs)]
+    # each pair padded, end to end; an empty part would make the whole side float64 (as `[]` is)
+    sides = [np.concatenate([np.empty(0, np.intp)] + [part for row, n in zip(rows, lengths)
+                                                      for part in (row, np.full(n - len(row), pad))
+                                                      if len(part)]) for rows in zip(*pairs)]
     source = codebook.check_indices(sides[0], "interpolate source")
     target = codebook.check_indices(sides[1], "interpolate target")
     memo: dict[int, np.ndarray] = {}

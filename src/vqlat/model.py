@@ -68,6 +68,11 @@ class ModelParams:
     def trainable(self) -> list[Tensor]:
         return [t for t in self.tensors.values() if t.requires_grad]
 
+    def frozen(self) -> "ModelParams":
+        """The same arrays, uncopied, in tensors that take no gradient: a forward
+        through them records no autodiff tape."""
+        return ModelParams({name: Tensor(t.data) for name, t in self.tensors.items()})
+
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.tensors.items()}
 

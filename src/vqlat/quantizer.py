@@ -66,11 +66,15 @@ class Codebook:
 
     def check_indices(self, indices, what: str) -> np.ndarray:
         """``indices`` as an integer array of values in [0, size), or a
-        :class:`ContractError`: numpy would silently wrap a negative index."""
+        :class:`ContractError`: numpy would silently wrap a negative index.  A
+        zero-size input, such as ``[]`` (which numpy reads as float64), is an
+        empty ``intp`` array."""
         indices = np.asarray(indices)
+        if indices.size == 0:
+            return indices.astype(np.intp)
         if not np.issubdtype(indices.dtype, np.integer):
             raise ContractError(f"{what}: entry indices must be integers, got {indices.dtype}")
-        if indices.size and not (indices.min() >= 0 and indices.max() < self.size):
+        if not (indices.min() >= 0 and indices.max() < self.size):
             raise ContractError(f"{what}: entry indices must lie in [0, {self.size})")
         return indices
 

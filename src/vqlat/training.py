@@ -185,8 +185,10 @@ def teacher_forced(bundle: ModelBundle, rows: np.ndarray):
 
 def warmup_codebook(ids: list[np.ndarray], params: md.ModelParams, config: md.ModelConfig,
                     k: int, decay: float, rng: np.random.Generator) -> Codebook:
-    """Collect one pass of encoder outputs and seed entries from them."""
-    data = np.concatenate([md.encode_batch(rows, params, config).data.reshape(-1, config.d_model)
+    """Collect one pass of encoder outputs, through params that record no tape, and
+    seed entries from them."""
+    frozen = params.frozen()
+    data = np.concatenate([md.encode_batch(rows, frozen, config).data.reshape(-1, config.d_model)
                            for rows in length_batches(ids)], axis=0)
     return Codebook.init_from_data(data, k, rng, decay=decay, seed=int(rng.integers(2**31)))
 
@@ -230,10 +232,27 @@ def exact_match_rate(bundle: ModelBundle, ids: list[np.ndarray]) -> float:
     return sum(got == list(row) for got, row in zip(reconstruct(bundle, ids)[0], ids)) / len(ids)
 
 
+def _train_step(bundle: ModelBundle, optimizer: Adam, rows: np.ndarray) -> tuple[float, float, int]:
+    """One teacher-forced Adam step on a [B, L] batch: the batch's mean cross-entropy,
+    its mean total loss and its correct next tokens.  The step's graph and gradients
+    die when it returns, so no two steps' tapes are alive at once."""
+    enc_out, indices, quantized, logits, targets = teacher_forced(bundle, rows)
+    ema_update(bundle.codebook, enc_out.data.reshape(-1, bundle.config.d_model).astype(np.float64),
+               indices)
+    flat_logits = ad.reshape(logits, (targets.size, bundle.config.vocab_size))
+    ce = ad.cross_entropy_with_logits(flat_logits, targets.reshape(-1))
+    loss = vq_loss(enc_out, quantized, ce, bundle.qconfig.commitment_beta, reduction="mean")
+    ad.backward(loss)
+    optimizer.step()
+    optimizer.zero_grad()
+    return float(ce.data), float(loss.data), int((logits.data.argmax(axis=-1) == targets).sum())
+
+
 def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.ModelConfig,
                 qconfig: QuantizerConfig, schedule: TrainSchedule,
                 log: list[dict] | None = None) -> ModelBundle:
-    """Train on the given sentences; returns the bundle, appending per-epoch rows to ``log``."""
+    """Train on the given sentences; returns the bundle, whose params record no tape,
+    appending per-epoch rows to ``log``."""
     if config.vocab_size != len(vocab):
         raise ContractError(f"config.vocab_size {config.vocab_size} != vocabulary size {len(vocab)}")
     ids = sentences_to_ids(token_lists, vocab)
@@ -250,8 +269,10 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
     params = md.init_params(config, param_rng)
     codebook = warmup_codebook(ids, params, config, schedule.codebook_size,
                                schedule.codebook_decay, warm_rng)
-    bundle = ModelBundle(config, params, codebook, qconfig, vocab)
     optimizer = Adam(params.trainable(), lr=schedule.lr)
+    tracked = ModelBundle(config, params, codebook, qconfig, vocab)
+    # built after Adam, so its arrays are views of the buffer each step updates
+    bundle = ModelBundle(config, params.frozen(), codebook, qconfig, vocab)
 
     for epoch in range(schedule.epochs):
         total_ce = 0.0
@@ -261,22 +282,12 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
         # a diverging step overflows to inf and NaN quietly: the loss check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for rows in length_batches(ids, schedule.batch_size, batch_rng):
-                enc_out, indices, quantized, logits, targets = teacher_forced(bundle, rows)
-                ema_update(codebook, enc_out.data.reshape(-1, config.d_model).astype(np.float64),
-                           indices)
-                flat_logits = ad.reshape(logits, (targets.size, config.vocab_size))
-                ce = ad.cross_entropy_with_logits(flat_logits, targets.reshape(-1))
-                loss = vq_loss(enc_out, quantized, ce, qconfig.commitment_beta, reduction="mean")
-
-                optimizer.zero_grad()
-                ad.backward(loss)
-                optimizer.step()
-
-                n_tok = targets.size
-                total_ce += float(ce.data) * n_tok
-                total_commit += (float(loss.data) - float(ce.data)) * n_tok
+                ce, loss, correct = _train_step(tracked, optimizer, rows)
+                n_tok = rows.size + rows.shape[0]  # each row's tokens and its end marker
+                total_ce += ce * n_tok
+                total_commit += (loss - ce) * n_tok
                 total_tokens += n_tok
-                correct_tokens += int((logits.data.argmax(axis=-1) == targets).sum())
+                correct_tokens += correct
 
         row = {"epoch": epoch + 1,
                "ce": total_ce / total_tokens,

@@ -1,6 +1,6 @@
 """Compare every command's outputs between the working tree and a git revision.
 
-    python tests/identity.py --against REV [--corpus FILE] [--config FILE]
+    python tests/identity.py --against REV [--recipe perfbench | --corpus FILE --config FILE]
 
 ``git archive REV src`` is unpacked into a temporary directory, so no worktree
 is made.  Each tree then runs in its own interpreter, from its own empty
@@ -8,7 +8,9 @@ directory and under the same relative paths: ``gen-corpus`` for both kinds,
 ``train``, and the latent-space commands of :mod:`tests.commands` on the
 checkpoint it trained.  ``train`` reads the generated grammar corpus, or a copy
 of ``--corpus``, with a small config or the run config ``--config`` (its
-``corpus`` and ``out_dir`` are replaced).
+``corpus`` and ``out_dir`` are replaced).  ``--recipe perfbench`` trains on the
+benchmark's 500-sentence corpus with its checkpoint recipe (50-epoch cap, early
+stop at exact match 0.9), which also reaches training's early-stop check.
 
 Every differing file, stdout, stderr and exit code is printed, one per line; a
 differing checkpoint is reported by header key and by tensor record.  The exit
@@ -113,14 +115,30 @@ def differences(a: tuple[list, dict[str, bytes]], b: tuple[list, dict[str, bytes
     return lines
 
 
+def perfbench_recipe(tmp: Path) -> tuple[dict, Path]:
+    """The benchmark's run config and its corpus, written under ``tmp``."""
+    from perfbench.workloads import FULL, corpus, run_config
+    from vqlat.corpus import save_corpus
+
+    path = tmp / "bench_corpus.txt"
+    save_corpus(path, corpus(FULL))
+    return run_config(0, path, "train", FULL, 50, 0.9), path
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
     parser.add_argument("--corpus", type=Path, help="train on this corpus file")
     parser.add_argument("--config", type=Path, help="train with this run config")
+    parser.add_argument("--recipe", choices=["small", "perfbench"], default="small",
+                        help="perfbench: the benchmark's corpus and checkpoint recipe")
     args = parser.parse_args(argv)
+    if args.recipe == "perfbench" and (args.corpus or args.config):
+        parser.error("--recipe perfbench writes its own corpus and config")
     config = json.loads(args.config.read_text(encoding="utf-8")) if args.config else SMALL_CONFIG
     with tempfile.TemporaryDirectory(prefix="vqlat-identity-") as tmp:
+        if args.recipe == "perfbench":
+            config, args.corpus = perfbench_recipe(Path(tmp))
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)

@@ -17,6 +17,7 @@ from vqlat import autodiff as ad
 from vqlat import corpus as cg
 from vqlat import model as md
 from vqlat.autodiff import Tensor
+from vqlat.quantizer import Codebook
 from vqlat.training import by_length, length_batches, sentences_to_ids, teacher_forced
 
 
@@ -316,6 +317,15 @@ def reconstruct_greedy_all(bundle, ids: list[np.ndarray]) -> tuple[list[list[int
         return bundle.decode_ids(indices.reshape(rows.shape), max_len=rows.shape[1] + 2)
 
     return by_length(decode, ids), hits / total
+
+
+def warmup_codebook_tracked(ids: list[np.ndarray], params, config, k: int, decay: float,
+                            rng: np.random.Generator):
+    """``training.warmup_codebook`` as it ran before it froze the params: each length
+    encoded through the trainable tensors, recording a tape no backward reads."""
+    data = np.concatenate([md.encode_batch(rows, params, config).data.reshape(-1, config.d_model)
+                           for rows in length_batches(ids)], axis=0)
+    return Codebook.init_from_data(data, k, rng, decay=decay, seed=int(rng.integers(2**31)))
 
 
 def token_accuracy_per_length(bundle, token_lists: list[list[str]]) -> float:

@@ -161,6 +161,14 @@ class TestInterpolate:
         with pytest.raises(ContractError):
             geo.interpolate([], cb, 5)
 
+    @pytest.mark.parametrize("empty", [[], (), np.empty(0)], ids=["list", "tuple", "float-array"])
+    def test_empty_source_pads_like_an_empty_int_array(self, cb, empty):
+        [want] = geo.interpolate([(np.empty(0, np.intp), [1, 2])], cb, 5)
+        [steps] = geo.interpolate([(empty, [1, 2])], cb, 5)
+        assert steps[0].tolist() == [5, 5] and steps[-1].tolist() == [1, 2]
+        np.testing.assert_array_equal(steps, want)
+        assert [path.shape for path in geo.interpolate([([], []), ([0], [])], cb, 5)] == [(11, 0), (11, 1)]
+
     def test_pairs_of_lists_match_the_per_pair_oracle(self, cb):
         pairs = [([0, 3], [4]), ([2], [1, 5, 0]), ([5, 5], [0, 1])]
         paths = geo.interpolate(pairs, cb, 5)
@@ -421,6 +429,10 @@ class TestTraversePosition:
     def test_position_out_of_range(self, cb):
         with pytest.raises(ContractError):
             geo.traverse_position(np.array([0]), 1, cb, 1)
+
+    def test_empty_row_is_refused_for_its_position(self, cb):
+        with pytest.raises(ContractError, match="position 0 outside sequence of 0 rows"):
+            geo.traverse_position([], 0, cb, 1)
 
     def test_too_many_variants(self, cb):
         with pytest.raises(ContractError):

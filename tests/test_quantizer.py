@@ -89,6 +89,23 @@ class TestQuantizeKmeans:
             Codebook(np.zeros((0, 3)))
 
 
+class TestCheckIndices:
+    @pytest.mark.parametrize("empty", [[], (), np.empty(0), np.empty((0, 2), dtype=np.float32)],
+                             ids=["list", "tuple", "float-array", "float-matrix"])
+    def test_zero_size_input_is_an_empty_integer_array(self, empty):
+        got = make_codebook(np.zeros((2, 3))).check_indices(empty, "x")
+        assert got.dtype == np.intp and got.shape == np.shape(empty)
+
+    @pytest.mark.parametrize("bad", [[0.0], [1, 0.5], np.array([True])], ids=["float", "mixed", "bool"])
+    def test_non_integer_input_is_refused(self, bad):
+        with pytest.raises(ContractError, match="must be integers"):
+            make_codebook(np.zeros((2, 3))).check_indices(bad, "x")
+
+    def test_integer_input_keeps_its_dtype(self):
+        got = make_codebook(np.zeros((2, 3))).check_indices(np.array([1, 0], dtype=np.int32), "x")
+        assert got.dtype == np.int32 and got.tolist() == [1, 0]
+
+
 class TestPairwiseSqDists:
     # 512 x 64 entries give 4-row blocks; 2,100 x 64 exceed one block's 2**17
     # values, so every block holds a single row

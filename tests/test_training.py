@@ -1,4 +1,7 @@
-"""Trainer behaviour: determinism, persistence, and memorization quality."""
+"""Trainer behaviour: determinism, persistence, memory, and memorization quality."""
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from tests.oracles import (
     linear_chain,
     relative_error,
     token_accuracy_per_length,
+    warmup_codebook_tracked,
 )
 
 
@@ -142,6 +146,21 @@ def test_step_gradients_equal_chained_linear_and_attention(monkeypatch):
             assert relative_error(grad, chained[name]) < 1e-9, name
 
 
+def recorded_nodes(monkeypatch) -> list[str]:
+    """The op of every node ``autodiff._node`` records on a tape (with parents) from now on."""
+    recorded = []
+    node = ad._node
+
+    def counting(data, parents, backward_fn):
+        out = node(data, parents, backward_fn)
+        if out._parents:
+            recorded.append(backward_fn.__qualname__.split(".")[0])
+        return out
+
+    monkeypatch.setattr(ad, "_node", counting)
+    return recorded
+
+
 def test_teacher_forced_forward_records_72_nodes(monkeypatch):
     """At the benchmark's shape (d_model 64, 4 heads, 2+2 layers, a [16, 6] batch)
     one forward records 72 tape nodes; the head split stays inside each of the
@@ -154,18 +173,118 @@ def test_teacher_forced_forward_records_72_nodes(monkeypatch):
     rows = np.random.default_rng(1).integers(4, len(vocab), size=(16, 6))
     codebook = warmup_codebook(list(rows), params, config, 32, 0.9, np.random.default_rng(2))
     bundle = ModelBundle(config, params, codebook, QuantizerConfig(), vocab)
-    ops = []
-    record = ad._node
-
-    def counting(data, parents, backward_fn):
-        ops.append(backward_fn.__qualname__.split(".")[0])
-        return record(data, parents, backward_fn)
-
-    monkeypatch.setattr(ad, "_node", counting)
+    ops = recorded_nodes(monkeypatch)
     teacher_forced(bundle, rows)
     assert len(ops) == 72
     assert ops.count("attention") == 6
     assert "reshape" not in ops and "transpose" not in ops
+
+
+class TestNoTapeWithoutBackward:
+    """A forward records a tape only when a backward reads it."""
+
+    def test_warmup_records_no_tape_and_seeds_the_tracked_entries(self, monkeypatch):
+        tokens = small_corpus()
+        vocab = cg.build_vocab(tokens)
+        config = ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2, max_len=16)
+        ids = sentences_to_ids(tokens, vocab)
+        params = md.init_params(config, np.random.default_rng(0))
+        recorded = recorded_nodes(monkeypatch)
+        got = warmup_codebook(ids, params, config, 16, 0.9, np.random.default_rng(1))
+        assert recorded == []
+        want = warmup_codebook_tracked(ids, params, config, 16, 0.9, np.random.default_rng(1))
+        assert recorded  # the oracle's trainable params do record
+        for name in ("entries", "counts", "sums"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_early_stop_check_records_no_tape(self, monkeypatch):
+        recorded = recorded_nodes(monkeypatch)
+        during = []
+        rate = training.exact_match_rate
+
+        def checking(bundle, ids):
+            before = len(recorded)
+            result = rate(bundle, ids)
+            during.append(len(recorded) - before)
+            return result
+
+        monkeypatch.setattr(training, "exact_match_rate", checking)
+        _, log = train_bundle(small_corpus(10, seed=0), epochs=100, codebook_size=32,
+                              d_model=32, n_heads=2, batch_size=4)
+        assert len(during) >= 1 and len(log) < 100  # the check ran and stopped training
+        assert during == [0] * len(during)
+        assert recorded  # the training steps record theirs
+
+    def test_returned_bundle_records_no_tape(self, memorization_fixture, monkeypatch):
+        bundle = memorization_fixture["bundle"]
+        assert bundle.params.trainable() == []
+        ids = sentences_to_ids(memorization_fixture["tokens"], bundle.vocab)
+        recorded = recorded_nodes(monkeypatch)
+        bundle.encode_ids(ids)
+        bundle.decode_ids(bundle.quantize_ids(ids))
+        assert recorded == []
+
+    def test_no_step_graph_is_alive_when_the_next_forward_starts(self, monkeypatch):
+        def graph_tensors() -> int:
+            return sum(isinstance(o, ad.Tensor) and bool(o._parents) for o in gc.get_objects())
+
+        alive = []
+        forward = training.teacher_forced
+
+        def counting(bundle, rows):
+            alive.append(graph_tensors())
+            return forward(bundle, rows)
+
+        monkeypatch.setattr(training, "teacher_forced", counting)
+        tokens = small_corpus()
+        vocab = cg.build_vocab(tokens)
+        config = ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2, max_len=16)
+        before = graph_tensors()
+        train_model(tokens, vocab, config, QuantizerConfig(), make_schedule())
+        assert len(alive) > 2 and alive == [before] * len(alive)
+
+
+def test_train_peak_is_one_step_not_one_length_group():
+    """The traced peak of ``train_model`` stays under the params, Adam's four flat
+    buffers of their size and twice one step's traced growth, on a corpus whose
+    largest length group is over 20 batches: no forward over a whole group (the
+    codebook warmup's) keeps a tape, and no two steps' graphs are alive at once."""
+    tokens = small_corpus(400)
+    vocab = cg.build_vocab(tokens)
+    config = ModelConfig(vocab_size=len(vocab), d_model=32, n_heads=2, max_len=16)
+    schedule = make_schedule(epochs=1, batch_size=4, codebook_size=16)
+    ids = sentences_to_ids(tokens, vocab)
+    groups = [len(rows) for rows in length_batches(ids)]
+    assert max(groups) >= 20 * schedule.batch_size
+
+    params = md.init_params(config, np.random.default_rng(0))
+    rows = max(length_batches(ids, schedule.batch_size), key=lambda rows: rows.shape[1])
+    codebook = warmup_codebook(ids, params, config, schedule.codebook_size, 0.9,
+                               np.random.default_rng(1))
+    bundle = ModelBundle(config, params, codebook, QuantizerConfig(), vocab)
+
+    def step():
+        enc_out, _, quantized, logits, targets = teacher_forced(bundle, rows)
+        ce = ad.cross_entropy_with_logits(ad.reshape(logits, (targets.size, config.vocab_size)),
+                                          targets.reshape(-1))
+        ad.backward(vq_loss(enc_out, quantized, ce, 0.25, reduction="mean"))
+        for p in params.trainable():
+            p.grad = None
+
+    step()  # numpy's and the position table's first-call allocations stay out of the growth
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        step_growth = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        train_model(tokens, vocab, config, QuantizerConfig(), schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(array.nbytes for array in params.arrays().values())
+    bound = 5 * param_bytes + 2 * step_growth
+    assert peak < bound, (peak, param_bytes, step_growth)
 
 
 class TestLengthBatches:
