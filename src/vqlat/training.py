@@ -232,10 +232,11 @@ def exact_match_rate(bundle: ModelBundle, ids: list[np.ndarray]) -> float:
     return sum(got == list(row) for got, row in zip(reconstruct(bundle, ids)[0], ids)) / len(ids)
 
 
-def _train_step(bundle: ModelBundle, optimizer: Adam, rows: np.ndarray) -> tuple[float, float, int]:
+def _train_step(bundle: ModelBundle, optimizer: Adam,
+                rows: np.ndarray) -> tuple[float, float, int, int]:
     """One teacher-forced Adam step on a [B, L] batch: the batch's mean cross-entropy,
-    its mean total loss and its correct next tokens.  The step's graph and gradients
-    die when it returns, so no two steps' tapes are alive at once."""
+    its mean total loss, its correct next tokens and its target count.  The step's
+    graph and gradients die when it returns, so no two steps' tapes are alive at once."""
     enc_out, indices, quantized, logits, targets = teacher_forced(bundle, rows)
     ema_update(bundle.codebook, enc_out.data.reshape(-1, bundle.config.d_model).astype(np.float64),
                indices)
@@ -245,7 +246,8 @@ def _train_step(bundle: ModelBundle, optimizer: Adam, rows: np.ndarray) -> tuple
     ad.backward(loss)
     optimizer.step()
     optimizer.zero_grad()
-    return float(ce.data), float(loss.data), int((logits.data.argmax(axis=-1) == targets).sum())
+    return (float(ce.data), float(loss.data), int((logits.data.argmax(axis=-1) == targets).sum()),
+            targets.size)
 
 
 def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.ModelConfig,
@@ -282,8 +284,7 @@ def train_model(token_lists: list[list[str]], vocab: Vocabulary, config: md.Mode
         # a diverging step overflows to inf and NaN quietly: the loss check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for rows in length_batches(ids, schedule.batch_size, batch_rng):
-                ce, loss, correct = _train_step(tracked, optimizer, rows)
-                n_tok = rows.size + rows.shape[0]  # each row's tokens and its end marker
+                ce, loss, correct, n_tok = _train_step(tracked, optimizer, rows)
                 total_ce += ce * n_tok
                 total_commit += (loss - ce) * n_tok
                 total_tokens += n_tok

@@ -1,16 +1,15 @@
 """Compare every command's outputs between the working tree and a git revision.
 
-    python tests/identity.py --against REV [--recipe perfbench | --corpus FILE --config FILE]
+    python tests/identity.py --against REV [--recipe perfbench]
 
 ``git archive REV src`` is unpacked into a temporary directory, so no worktree
 is made.  Each tree then runs in its own interpreter, from its own empty
 directory and under the same relative paths: ``gen-corpus`` for both kinds,
 ``train``, and the latent-space commands of :mod:`tests.commands` on the
-checkpoint it trained.  ``train`` reads the generated grammar corpus, or a copy
-of ``--corpus``, with a small config or the run config ``--config`` (its
-``corpus`` and ``out_dir`` are replaced).  ``--recipe perfbench`` trains on the
-benchmark's 500-sentence corpus with its checkpoint recipe (50-epoch cap, early
-stop at exact match 0.9), which also reaches training's early-stop check.
+checkpoint it trained.  ``train`` reads the generated grammar corpus with a
+small config.  ``--recipe perfbench`` trains instead on the benchmark's
+500-sentence corpus with its checkpoint recipe (50-epoch cap, early stop at
+exact match 0.9), which also reaches training's early-stop check.
 
 Every differing file, stdout, stderr and exit code is printed, one per line; a
 differing checkpoint is reported by header key and by tensor record.  The exit
@@ -128,22 +127,15 @@ def perfbench_recipe(tmp: Path) -> tuple[dict, Path]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
-    parser.add_argument("--corpus", type=Path, help="train on this corpus file")
-    parser.add_argument("--config", type=Path, help="train with this run config")
-    parser.add_argument("--recipe", choices=["small", "perfbench"], default="small",
-                        help="perfbench: the benchmark's corpus and checkpoint recipe")
+    parser.add_argument("--recipe", choices=["perfbench"],
+                        help="train on the benchmark's corpus with its checkpoint recipe")
     args = parser.parse_args(argv)
-    if args.recipe == "perfbench" and (args.corpus or args.config):
-        parser.error("--recipe perfbench writes its own corpus and config")
-    config = json.loads(args.config.read_text(encoding="utf-8")) if args.config else SMALL_CONFIG
     with tempfile.TemporaryDirectory(prefix="vqlat-identity-") as tmp:
-        if args.recipe == "perfbench":
-            config, args.corpus = perfbench_recipe(Path(tmp))
+        config, corpus = perfbench_recipe(Path(tmp)) if args.recipe else (SMALL_CONFIG, None)
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against, "src"],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        runs = run_trees([ROOT / "src", Path(tmp) / "src"], Path(tmp) / "work", config,
-                         args.corpus and args.corpus.resolve())
+        runs = run_trees([ROOT / "src", Path(tmp) / "src"], Path(tmp) / "work", config, corpus)
     lines = differences(*runs)
     for line in lines:
         print(line)
